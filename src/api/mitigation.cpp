@@ -40,11 +40,13 @@ HammerMitigator::apply(const Distribution &measured,
     core::HammerConfig config = config_;
     if (ctx.threads > 0)
         config.threads = ctx.threads;
-    Distribution dist = measured;
-    for (int pass = 0; pass < iterations_; ++pass) {
-        dist = fast_ ? core::reconstructFast(dist, config, ctx.stats)
-                     : core::reconstruct(dist, config, ctx.stats);
-    }
+    const auto pass = [&](const Distribution &input) {
+        return fast_ ? core::reconstructFast(input, config, ctx.stats)
+                     : core::reconstruct(input, config, ctx.stats);
+    };
+    Distribution dist = pass(measured);
+    for (int i = 1; i < iterations_; ++i)
+        dist = pass(dist);
     return dist;
 }
 

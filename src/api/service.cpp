@@ -4,11 +4,18 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
+#include <deque>
+#include <exception>
 #include <iostream>
 #include <limits>
 #include <thread>
 #include <utility>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "api/autoplan.hpp"
 #include "api/json.hpp"
@@ -53,7 +60,7 @@ std::uint64_t
 execOutcomeChecksum(const Outcome &outcome)
 {
     common::Fnv1a hasher;
-    hasher.add(distributionChecksum(outcome.raw));
+    hasher.add(distributionChecksum(*outcome.raw));
     hasher.add(outcome.sampleSeconds);
     return hasher.digest();
 }
@@ -258,6 +265,105 @@ canonicalSpecKey(const ExperimentSpec &spec)
 }
 
 // ---------------------------------------------------------------------------
+// Cache thread
+// ---------------------------------------------------------------------------
+
+/**
+ * A dedicated thread running one task at a time; call() blocks until
+ * its task has run there.  Everything a task allocates comes from
+ * this thread's malloc arena, apart from the workers' job transients.
+ *
+ * Every kTrimEvery calls the thread also hands the pages of freed
+ * heap memory back to the OS (glibc malloc_trim).  glibc keeps a
+ * freed page resident until then, and every worker's arena retains
+ * its own high-water mark of job transients, so without the trim the
+ * resident set still grew with the jobs served.
+ */
+class ExecutionService::CacheThread
+{
+  public:
+    CacheThread() : thread_([this] { loop(); }) {}
+
+    ~CacheThread()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            stop_ = true;
+        }
+        wake_.notify_all();
+        thread_.join();
+    }
+
+    CacheThread(const CacheThread &) = delete;
+    CacheThread &operator=(const CacheThread &) = delete;
+
+    /** Run @p task on the cache thread; rethrows what it throws. */
+    void call(const std::function<void()> &task)
+    {
+        Call item{&task, false, nullptr};
+        std::unique_lock<std::mutex> lock(mutex_);
+        queue_.push_back(&item);
+        wake_.notify_all();
+        done_.wait(lock, [&] { return item.done; });
+        if (item.error)
+            std::rethrow_exception(item.error);
+    }
+
+  private:
+    struct Call
+    {
+        const std::function<void()> *task;
+        bool done = false;
+        std::exception_ptr error;
+    };
+
+    void loop()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        for (;;) {
+            wake_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+            if (queue_.empty())
+                return; // stopping, and every call has been served
+            Call *item = queue_.front();
+            queue_.pop_front();
+            lock.unlock();
+            std::exception_ptr error;
+            try {
+                (*item->task)();
+            } catch (...) {
+                error = std::current_exception();
+            }
+            lock.lock();
+            item->error = error;
+            item->done = true;
+            done_.notify_all();
+            if (++calls_ % kTrimEvery == 0) {
+                lock.unlock();
+                releaseFreedPages();
+                lock.lock();
+            }
+        }
+    }
+
+    static void releaseFreedPages()
+    {
+#if defined(__GLIBC__)
+        ::malloc_trim(0);
+#endif
+    }
+
+    static constexpr std::uint64_t kTrimEvery = 64;
+
+    std::mutex mutex_;
+    std::condition_variable wake_;
+    std::condition_variable done_;
+    std::deque<Call *> queue_;
+    bool stop_ = false;
+    std::uint64_t calls_ = 0;
+    std::thread thread_; // last: starts after the members it uses
+};
+
+// ---------------------------------------------------------------------------
 // JobHandle
 // ---------------------------------------------------------------------------
 
@@ -311,6 +417,7 @@ ExecutionService::ExecutionService(const Pipeline &pipeline,
         execCache_ =
             std::make_unique<common::LruCache<Checked<ExecOutcome>>>(
                 options_.cacheCapacity);
+        cacheThread_ = std::make_unique<CacheThread>();
     }
     pool_ = std::make_unique<common::ThreadPool>(options_.workers);
 }
@@ -665,9 +772,12 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
             const auto busyElapsed = [busyStart] {
                 return common::threadCpuSeconds() - busyStart;
             };
+            // The execution this job computed and registered, if any:
+            // published at job end, erased if the job fails.
+            ExecClaim claim;
             try {
                 // Retry loop: an injected worker death re-runs the
-                // job (idempotent — a published exec outcome under
+                // job (idempotent — the in-flight exec outcome under
                 // the same canonical key is reused, so a retried
                 // Result is bit-identical) until the attempt budget
                 // is spent, which surfaces as WorkerLostError.
@@ -678,7 +788,8 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
                             spec, execKey,
                             jobId * 16 +
                                 static_cast<std::uint64_t>(attempt) *
-                                    2);
+                                    2,
+                            claim);
                         break;
                     } catch (const InjectedWorkerDeath &) {
                         std::lock_guard<std::mutex> lock(mutex_);
@@ -705,53 +816,10 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
                         ++stats_.retries;
                     }
                 }
-                // The one per-job cache copy, outside the mutex.
-                // Checksummed from the genuine value; a Poison fault
-                // corrupts only the stored copy afterwards, so the
-                // next hit's verification must catch it.
-                // A degraded result (remote backend's local
-                // fallback) is never cached: the cache must only
-                // ever serve what the spec actually asked for.
-                Checked<Result> entry;
-                if (fullKey && resultCache_ && !result.degraded) {
-                    auto copy = std::make_shared<Result>(result);
-                    entry.checksum = resultChecksum(*copy);
-                    if (fault(common::FaultSite::CacheInsert,
-                              common::fnv1a64(*fullKey))
-                            .kind ==
-                        common::FaultAction::Kind::Poison)
-                        corruptDistribution(copy->mitigated);
-                    entry.value = std::move(copy);
-                }
-                // Degraded-serving index entry for the cached copy:
-                // the spec with its trajectory budget zeroed is the
-                // family key lower-budget substitutes are found by.
-                std::optional<std::string> reducedKey;
-                if (entry.value && options_.degradedServing &&
-                    spec.backendSpec.trajectories > 0) {
-                    ExperimentSpec reduced = spec;
-                    reduced.backendSpec.trajectories = 0;
-                    reducedKey = canonicalSpecKey(reduced);
-                }
+                publish(spec, fullKey, result, claim);
                 bool drifted = false;
                 {
                     std::lock_guard<std::mutex> lock(mutex_);
-                    if (fullKey) {
-                        if (entry.value)
-                            resultCache_->put(*fullKey,
-                                              std::move(entry));
-                        inflightJobs_.erase(*fullKey);
-                    }
-                    if (reducedKey) {
-                        auto &budgets =
-                            degradedIndex_[*reducedKey];
-                        const int budget =
-                            spec.backendSpec.trajectories;
-                        if (std::find(budgets.begin(),
-                                      budgets.end(),
-                                      budget) == budgets.end())
-                            budgets.push_back(budget);
-                    }
                     const double busy = busyElapsed();
                     ++stats_.completed;
                     stats_.busySeconds += busy;
@@ -780,6 +848,10 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
                     std::lock_guard<std::mutex> lock(mutex_);
                     if (fullKey)
                         inflightJobs_.erase(*fullKey);
+                    // Peers already hold the outcome; later jobs
+                    // must not attach to a failed job's entry.
+                    if (claim.outcome)
+                        inflightExec_.erase(claim.key);
                     ++stats_.completed;
                     stats_.busySeconds += busyElapsed();
                     pendingPredictedCost_ =
@@ -794,10 +866,95 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
     return JobHandle(job);
 }
 
+void
+ExecutionService::publish(const ExperimentSpec &spec,
+                          const std::optional<std::string> &fullKey,
+                          const Result &result, ExecClaim &claim)
+{
+    const auto insert = [&] {
+        // The one per-job Result copy.  Checksummed from the genuine
+        // value; a Poison fault corrupts only the stored copy
+        // afterwards, so the next hit's verification must catch it.
+        // A degraded result (remote backend's local fallback) is
+        // never cached: the cache must only ever serve what the spec
+        // actually asked for.
+        Checked<Result> entry;
+        if (fullKey && resultCache_ && !result.degraded) {
+            auto copy = std::make_shared<Result>(result);
+            entry.checksum = resultChecksum(*copy);
+            if (fault(common::FaultSite::CacheInsert,
+                      common::fnv1a64(*fullKey))
+                    .kind == common::FaultAction::Kind::Poison)
+                corruptDistribution(copy->mitigated);
+            entry.value = std::move(copy);
+        }
+        // The execution entry shares the cached Result's raw (Poison
+        // only touches the mitigated histogram there) instead of
+        // keeping a second copy.  A Poison fault on this entry
+        // corrupts a separate copy, keeping the genuine checksum.
+        Checked<ExecOutcome> execEntry;
+        if (claim.outcome && execCache_) {
+            std::shared_ptr<const core::Distribution> raw =
+                entry.value
+                    ? std::shared_ptr<const core::Distribution>(
+                          entry.value, &entry.value->raw)
+                    : std::make_shared<const core::Distribution>(
+                          result.raw);
+            auto outcome = std::make_shared<ExecOutcome>(
+                ExecOutcome{std::move(raw), claim.outcome->rngAfter,
+                            claim.outcome->sampleSeconds});
+            execEntry.checksum = execOutcomeChecksum(*outcome);
+            if (fault(common::FaultSite::CacheInsert,
+                      common::fnv1a64(claim.key))
+                    .kind == common::FaultAction::Kind::Poison) {
+                auto corrupted =
+                    std::make_shared<core::Distribution>(*outcome->raw);
+                corruptDistribution(*corrupted);
+                outcome->raw = std::move(corrupted);
+            }
+            execEntry.value = std::move(outcome);
+        }
+        // Degraded-serving index entry for the cached copy: the spec
+        // with its trajectory budget zeroed is the family key
+        // lower-budget substitutes are found by.
+        std::optional<std::string> reducedKey;
+        if (entry.value && options_.degradedServing &&
+            spec.backendSpec.trajectories > 0) {
+            ExperimentSpec reduced = spec;
+            reduced.backendSpec.trajectories = 0;
+            reducedKey = canonicalSpecKey(reduced);
+        }
+
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (fullKey) {
+            if (entry.value)
+                resultCache_->put(*fullKey, std::move(entry));
+            inflightJobs_.erase(*fullKey);
+        }
+        if (claim.outcome) {
+            if (execEntry.value)
+                execCache_->put(claim.key, std::move(execEntry));
+            inflightExec_.erase(claim.key);
+        }
+        if (reducedKey) {
+            auto &budgets = degradedIndex_[*reducedKey];
+            const int budget = spec.backendSpec.trajectories;
+            if (std::find(budgets.begin(), budgets.end(), budget) ==
+                budgets.end())
+                budgets.push_back(budget);
+        }
+    };
+    if (cacheThread_)
+        cacheThread_->call(insert);
+    else
+        insert();
+    claim.outcome.reset();
+}
+
 Result
 ExecutionService::runJob(const ExperimentSpec &spec,
                          const std::optional<std::string> &execKey,
-                         std::uint64_t faultKey)
+                         std::uint64_t faultKey, ExecClaim &claim)
 {
     // The two ServiceJob fault points of one attempt: phase 0 before
     // any work, phase 1 between the (publishable) execute stage and
@@ -900,7 +1057,7 @@ ExecutionService::runJob(const ExperimentSpec &spec,
             ++stats_.executeShared;
         }
         pipeline_.standUpBackend(spec, state, result);
-        result.raw = outcome->raw;
+        result.raw = *outcome->raw;
         state.rng = outcome->rngAfter;
         // The sample row reports the cost paid when the histogram
         // was first computed — by this job's peer, not this job.
@@ -917,35 +1074,21 @@ ExecutionService::runJob(const ExperimentSpec &spec,
             }
             throw;
         }
-        if (computing) {
-            auto produced = std::make_shared<const ExecOutcome>(
-                ExecOutcome{result.raw, state.rng,
-                            result.stageSeconds("sample")});
-            // The genuine outcome always goes to waiting peers; a
-            // Poison fault corrupts only a separate copy bound for
-            // the cache, keeping the genuine checksum, so the next
-            // hit's verification trips.
-            Checked<ExecOutcome> entry{
-                produced, execOutcomeChecksum(*produced)};
-            if (fault(common::FaultSite::CacheInsert,
-                      common::fnv1a64(*execKey))
-                    .kind == common::FaultAction::Kind::Poison) {
-                auto corrupted =
-                    std::make_shared<ExecOutcome>(*produced);
-                corruptDistribution(corrupted->raw);
-                entry.value = std::move(corrupted);
-            }
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++stats_.executeRuns;
-                if (execCache_)
-                    execCache_->put(*execKey, std::move(entry));
-                inflightExec_.erase(*execKey);
-            }
-            computing->set_value(std::move(produced));
-        } else {
+        {
             std::lock_guard<std::mutex> lock(mutex_);
             ++stats_.executeRuns;
+        }
+        if (computing) {
+            // Waiting peers get the outcome now; its in-flight entry
+            // stays registered until job end, when publish() moves it
+            // into the execution LRU.
+            auto produced = std::make_shared<const ExecOutcome>(
+                ExecOutcome{
+                    std::make_shared<const core::Distribution>(
+                        result.raw),
+                    state.rng, result.stageSeconds("sample")});
+            claim = {*execKey, produced};
+            computing->set_value(std::move(produced));
         }
     }
 

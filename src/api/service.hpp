@@ -578,10 +578,28 @@ class ExecutionService
     /** Everything the execute stage produced, shareable across jobs. */
     struct ExecOutcome
     {
-        core::Distribution raw{1};
+        /**
+         * The raw histogram.  An execution-LRU entry aliases the raw
+         * of the cached Result (one copy serves both LRUs); the
+         * in-flight outcome peers read before job end owns its own.
+         */
+        std::shared_ptr<const core::Distribution> raw;
         common::Rng rngAfter{0}; ///< RNG state after sampleBatch.
         double sampleSeconds = 0.0;
     };
+
+    /**
+     * The in-flight execution entry a job registered and computed:
+     * published to the execution LRU when the job completes, erased
+     * when it fails.
+     */
+    struct ExecClaim
+    {
+        std::string key;
+        std::shared_ptr<const ExecOutcome> outcome; ///< null: none
+    };
+
+    class CacheThread;
 
     /**
      * One cache slot: the payload plus the FNV checksum computed
@@ -599,7 +617,17 @@ class ExecutionService
 
     Result runJob(const ExperimentSpec &spec,
                   const std::optional<std::string> &execKey,
-                  std::uint64_t faultKey);
+                  std::uint64_t faultKey, ExecClaim &claim);
+
+    /**
+     * Job-end cache insertion for a completed job: the cached Result
+     * copy, the execution outcome @p claim computed (its raw aliasing
+     * the cached Result's), both LRU puts and the in-flight entries'
+     * removal.  Runs on the cache thread when the caches exist.
+     */
+    void publish(const ExperimentSpec &spec,
+                 const std::optional<std::string> &fullKey,
+                 const Result &result, ExecClaim &claim);
 
     /** Injector decision for one site visit (None when no injector). */
     common::FaultAction fault(common::FaultSite site,
@@ -673,8 +701,18 @@ class ExecutionService
     double driftWindowMeasured_ = 0.0;
     std::size_t driftWindowCount_ = 0;
 
+    /**
+     * The one thread that makes the caches' long-lived allocations
+     * (null without caches): cached Results and execution outcomes
+     * outlive their job, so they live in one malloc arena apart from
+     * the workers' job transients.  It also hands freed pages back to
+     * the OS now and then (service.cpp).
+     */
+    std::unique_ptr<CacheThread> cacheThread_;
+
     // Declared last: destroyed first, so queued jobs drained by the
-    // pool destructor still see live caches and counters.
+    // pool destructor still see live caches, cache thread and
+    // counters.
     std::unique_ptr<common::ThreadPool> pool_;
 };
 

@@ -51,6 +51,17 @@ require(bool cond, const std::string &msg)
         fatal(msg);
 }
 
+/**
+ * require() for literal messages: builds the std::string only when
+ * the check fails, so a passing check in a hot loop costs no malloc.
+ */
+inline void
+require(bool cond, const char *msg)
+{
+    if (!cond)
+        fatal(msg);
+}
+
 } // namespace hammer::common
 
 #endif // HAMMER_COMMON_LOGGING_HPP

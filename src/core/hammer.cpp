@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 #include "core/hamming_index.hpp"
+#include "core/hammer_kernels.hpp"
 #include "core/spectrum.hpp"
 
 namespace hammer::core {
@@ -88,10 +90,9 @@ treeReduceChs(std::vector<ChsPartial> &parts)
 }
 
 /**
- * Struct-of-arrays copy of a distribution's support: the pair scans
- * stream outcomes_ (one cache line holds eight) and touch probs_
- * only on distance hits, halving the hot loops' cache traffic
- * relative to walking the 16-byte Entry structs.
+ * Struct-of-arrays copy of a distribution's support: the pair-scan
+ * kernels stream outcomes (one cache line holds eight) and probs
+ * separately instead of walking the 16-byte Entry structs.
  */
 struct FlatSupport
 {
@@ -111,61 +112,99 @@ struct FlatSupport
 };
 
 /**
- * The shared Step-1 + Step-3 skeleton of both reconstruction
- * variants.  @p chsRow accumulates entry i's Step-1 contribution
- * into a partial (whose chs vector has n + 1 bins, so row kernels
- * can bin unconditionally and let out-of-radius distances land in
- * discarded bins); @p scoreRow returns entry i's Step-3
- * neighbourhood score given radius-extended weights (zero beyond
- * dmax).  Both are invoked with a fixed iteration order per i, and
- * partials are chunk-indexed, so the result is bit-identical for
- * any thread count.
+ * Step 1: the aggregate CHS (bins 0..dmax) by the counting identity
+ * CHS_d = sum_i P(i) * count_d(i) (hammer_kernels.hpp).  Row i's
+ * distance counts come from the countDistances kernel over the run
+ * @p candidates(i) returns — a span of outcomes that holds x_i
+ * itself and every outcome within dmax of it — so the counts of
+ * bins 0..dmax, and with them the result, do not depend on how far
+ * beyond dmax the run reaches.  Rows are folded in fixed 64-row
+ * chunks reduced by treeReduceChs: bit-identical for every thread
+ * count and kernel tier.
  */
-template <typename ChsRow, typename ScoreRow>
+template <typename Candidates>
+ChsPartial
+countChs(const FlatSupport &support, int dmax, int threads,
+         const Candidates &candidates)
+{
+    const HammerKernels &kernels = activeHammerKernels();
+    const std::size_t count = support.outcomes.size();
+    const auto bins = static_cast<std::size_t>(dmax) + 1;
+    std::vector<ChsPartial> partials(
+        ThreadPool::chunkCount(count, kScanChunk));
+    ThreadPool::runChunked(
+        threads, count, kScanChunk,
+        [&](std::size_t c, std::size_t begin, std::size_t end, int) {
+            ChsPartial &partial = partials[c];
+            partial.chs.assign(bins, 0.0);
+            std::uint64_t counts[kDistanceBins];
+            for (std::size_t i = begin; i < end; ++i) {
+                const std::span<const Bits> run = candidates(i);
+                kernels.countDistances(support.outcomes[i], run.data(),
+                                       run.size(), bins, counts);
+                const double px = support.probs[i];
+                // count_0(i) == 1: outcomes are distinct.
+                partial.chs[0] += px;
+                for (std::size_t d = 1; d < bins; ++d)
+                    partial.chs[d] +=
+                        px * static_cast<double>(counts[d]);
+                partial.pairOps += run.size() - 1;
+            }
+        });
+    if (partials.empty()) // empty support: all-zero CHS
+        return {std::vector<double>(bins, 0.0), 0};
+    return treeReduceChs(partials);
+}
+
+/** Step 1 over the whole support (the exhaustive O(N^2) scan). */
+ChsPartial
+countChsExhaustive(const FlatSupport &support, int dmax, int threads)
+{
+    const std::span<const Bits> all(support.outcomes);
+    return countChs(support, dmax, threads,
+                    [&](std::size_t) { return all; });
+}
+
+/**
+ * Steps 2 and 3 of both reconstruction variants, given the Step-1
+ * partial.  @p scoreChunk(begin, end, weights_ext, scores) writes the
+ * neighbourhood scores of rows [begin, end) to scores[0..) and
+ * returns the pair operations it spent; weights_ext has
+ * kDistanceBins entries, zero at distance 0 (the diagonal) and
+ * beyond dmax, so scans need no distance branch.  Each score is a
+ * pure function of (row, input, weights), written to its own slot.
+ */
+template <typename ScoreChunk>
 Distribution
-reconstructSkeleton(const Distribution &input, const HammerConfig &config,
-                    HammerStats *stats, int dmax, const ChsRow &chsRow,
-                    const ScoreRow &scoreRow)
+rescore(const Distribution &input, const HammerConfig &config,
+        HammerStats *stats, int dmax, ChsPartial step1,
+        const ScoreChunk &scoreChunk)
 {
     const int n = input.numBits();
     const auto &entries = input.entries();
     const std::size_t count = entries.size();
-    const std::size_t chunks = ThreadPool::chunkCount(count, kScanChunk);
+    std::vector<double> chs = std::move(step1.chs);
+    std::uint64_t pair_ops = step1.pairOps;
 
-    // Step 1: aggregate Cumulative Hamming Strength, one fixed-size
-    // chunk of rows per work item.
-    std::vector<ChsPartial> partials(chunks);
-    ThreadPool::runChunked(
-        config.threads, count, kScanChunk,
-        [&](std::size_t c, std::size_t begin, std::size_t end, int) {
-            ChsPartial &partial = partials[c];
-            partial.chs.assign(static_cast<std::size_t>(n) + 1, 0.0);
-            for (std::size_t i = begin; i < end; ++i)
-                chsRow(i, partial);
-        });
-    ChsPartial reduced = treeReduceChs(partials);
-    std::vector<double> chs = std::move(reduced.chs);
-    chs.resize(static_cast<std::size_t>(dmax) + 1); // drop spill bins
-    std::uint64_t pair_ops = reduced.pairOps;
-
-    // Step 2: per-distance weights, extended with zeros beyond dmax
-    // so the rescoring kernels need no distance branch.
+    // Step 2: per-distance weights.
     const std::vector<double> weights =
         weightsFromChs(chs, n, config.weightScheme);
-    std::vector<double> weights_ext = weights;
-    weights_ext.resize(static_cast<std::size_t>(n) + 1, 0.0);
+    std::vector<double> weights_ext(kDistanceBins, 0.0);
+    std::copy(weights.begin() + 1, weights.end(),
+              weights_ext.begin() + 1);
 
-    // Step 3: rescore every outcome.  Each score is a pure function
-    // of (i, input, weights), written to its own slot.
+    // Step 3: rescore every outcome.
     std::vector<Entry> rescored(count);
-    std::vector<std::uint64_t> scoreOps(chunks, 0);
+    std::vector<std::uint64_t> scoreOps(
+        ThreadPool::chunkCount(count, kScanChunk), 0);
     ThreadPool::runChunked(
         config.threads, count, kScanChunk,
         [&](std::size_t c, std::size_t begin, std::size_t end, int) {
+            double scores[kScanChunk];
+            scoreOps[c] = scoreChunk(begin, end, weights_ext, scores);
             for (std::size_t i = begin; i < end; ++i) {
-                const double score =
-                    scoreRow(i, weights_ext, scoreOps[c]);
                 const double px = entries[i].probability;
+                const double score = scores[i - begin];
                 rescored[i] = {entries[i].outcome,
                                config.scoreCombine ==
                                        ScoreCombine::Multiplicative
@@ -195,8 +234,10 @@ std::vector<double>
 hammerWeights(const Distribution &input, const HammerConfig &config)
 {
     const int dmax = effectiveMaxDistance(input, config);
-    return weightsFromChs(aggregateChs(input, dmax), input.numBits(),
-                          config.weightScheme);
+    const FlatSupport support(input);
+    return weightsFromChs(
+        countChsExhaustive(support, dmax, config.threads).chs,
+        input.numBits(), config.weightScheme);
 }
 
 double
@@ -235,53 +276,19 @@ reconstruct(const Distribution &input, const HammerConfig &config,
 
     // Exhaustive O(N^2) scans (the reference implementation whose
     // operation count Table 3 quotes); reconstructFast() is the
-    // popcount-pruned variant.  The inner loops are branch-light:
-    // the j ranges skip the diagonal structurally, and distances
-    // beyond dmax bin into the skeleton's discarded spill bins.
-    const auto chsRow = [&](std::size_t i, ChsPartial &partial) {
-        const Bits x = support.outcomes[i];
-        partial.chs[0] += support.probs[i];
-        const auto scanHalf = [&](std::size_t from, std::size_t to) {
-            for (std::size_t j = from; j < to; ++j) {
-                const int d = common::hammingDistance(
-                    x, support.outcomes[j]);
-                partial.chs[static_cast<std::size_t>(d)] +=
-                    support.probs[j];
-            }
-        };
-        scanHalf(0, i);
-        scanHalf(i + 1, count);
-        partial.pairOps += count - 1;
+    // popcount-pruned variant.
+    const HammerKernels &kernels = activeHammerKernels();
+    const auto scoreChunk = [&](std::size_t begin, std::size_t end,
+                                const std::vector<double> &weights_ext,
+                                double *scores) -> std::uint64_t {
+        kernels.scoreRows(support.outcomes.data(), support.probs.data(),
+                          count, begin, end, weights_ext.data(),
+                          config.filterLowerProbability, scores);
+        return (end - begin) * (count - 1);
     };
-
-    const auto scoreRow = [&](std::size_t i,
-                              const std::vector<double> &weights_ext,
-                              std::uint64_t &ops) {
-        const Bits x = support.outcomes[i];
-        const double px = support.probs[i];
-        const bool filter = config.filterLowerProbability;
-        double score = px;
-        const auto scanHalf = [&](std::size_t from, std::size_t to) {
-            for (std::size_t j = from; j < to; ++j) {
-                const int d = common::hammingDistance(
-                    x, support.outcomes[j]);
-                const double pj = support.probs[j];
-                // Filter pi: credit flows only from strictly less
-                // probable neighbours, so rich-but-unlikely strings
-                // cannot borrow strength from dominant ones.
-                if (filter && !(px > pj))
-                    continue;
-                score += weights_ext[static_cast<std::size_t>(d)] * pj;
-            }
-        };
-        scanHalf(0, i);
-        scanHalf(i + 1, count);
-        ops += count - 1;
-        return score;
-    };
-
-    return reconstructSkeleton(input, config, stats, dmax, chsRow,
-                               scoreRow);
+    return rescore(input, config, stats, dmax,
+                   countChsExhaustive(support, dmax, config.threads),
+                   scoreChunk);
 }
 
 Distribution
@@ -311,53 +318,48 @@ reconstructFast(const Distribution &input, const HammerConfig &config,
     // of pc(x) can hold neighbours of x.
     const HammingIndex index(input);
 
-    // Step 1 visits each unordered pair once (H is symmetric, so the
-    // pair contributes P(i) + P(j) to its bin).  The d <= dmax test
-    // stays: a pair's contribution must not land in a spill bin with
-    // only half its mass accounted when the mirrored pair is pruned.
-    const auto chsRow = [&](std::size_t i, ChsPartial &partial) {
-        const Bits x = support.outcomes[i];
-        const double px = support.probs[i];
-        partial.chs[0] += px;
-        std::uint64_t ops = 0;
-        index.forEachCandidate(i, dmax, [&](std::size_t j) {
-            if (j <= i)
-                return; // unordered pairs once
-            ++ops;
-            const int d = common::hammingDistance(
-                x, support.outcomes[j]);
-            if (d <= dmax)
-                partial.chs[static_cast<std::size_t>(d)] +=
-                    px + support.probs[j];
+    // Step 1 counts each row's distances over its candidate bands,
+    // one contiguous run of the band-major outcome copy.  The run
+    // holds every outcome within dmax, so the counts of bins
+    // 0..dmax — and the aggregate CHS — equal reconstruct()'s bit
+    // for bit.
+    std::vector<Bits> banded;
+    banded.reserve(support.outcomes.size());
+    for (const std::uint32_t j : index.bandOrder())
+        banded.push_back(support.outcomes[j]);
+    ChsPartial step1 = countChs(
+        support, dmax, config.threads, [&](std::size_t i) {
+            const auto [first, last] = index.candidateRange(i, dmax);
+            return std::span<const Bits>(banded.data() + first,
+                                         last - first);
         });
-        partial.pairOps += ops;
-    };
 
-    const auto scoreRow = [&](std::size_t i,
-                              const std::vector<double> &weights_ext,
-                              std::uint64_t &pair_ops) {
-        const Bits x = support.outcomes[i];
-        const double px = support.probs[i];
+    const auto scoreChunk = [&](std::size_t begin, std::size_t end,
+                                const std::vector<double> &weights_ext,
+                                double *scores) -> std::uint64_t {
         const bool filter = config.filterLowerProbability;
-        double score = px;
         std::uint64_t ops = 0;
-        index.forEachCandidate(i, dmax, [&](std::size_t j) {
-            if (j == i)
-                return;
-            ++ops;
-            const int d = common::hammingDistance(
-                x, support.outcomes[j]);
-            const double pj = support.probs[j];
-            if (filter && !(px > pj))
-                return;
-            score += weights_ext[static_cast<std::size_t>(d)] * pj;
-        });
-        pair_ops += ops;
-        return score;
+        for (std::size_t i = begin; i < end; ++i) {
+            const Bits x = support.outcomes[i];
+            const double px = support.probs[i];
+            double score = px;
+            index.forEachCandidate(i, dmax, [&](std::size_t j) {
+                if (j == i)
+                    return;
+                ++ops;
+                const int d = common::hammingDistance(
+                    x, support.outcomes[j]);
+                const double pj = support.probs[j];
+                if (filter && !(px > pj))
+                    return;
+                score += weights_ext[static_cast<std::size_t>(d)] * pj;
+            });
+            scores[i - begin] = score;
+        }
+        return ops;
     };
-
-    return reconstructSkeleton(input, config, stats, dmax, chsRow,
-                               scoreRow);
+    return rescore(input, config, stats, dmax, std::move(step1),
+                   scoreChunk);
 }
 
 } // namespace hammer::core

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/distribution.hpp"
@@ -60,25 +61,41 @@ class HammingIndex
      */
     std::span<const std::uint32_t> band(int weight) const;
 
+    /** Every entry index, band-major: band(0), band(1), ... */
+    std::span<const std::uint32_t> bandOrder() const { return indices_; }
+
     /**
-     * Invoke fn(j) for every entry index j whose Hamming weight lies
-     * in [pc - radius, pc + radius] where pc = weightOf(i) — the
-     * candidate neighbours of entry @p i admitted by the popcount
-     * bound.  Bands are visited in ascending weight order and indices
-     * ascending within a band, so the visit order is a pure function
-     * of the distribution.  @p i itself is visited too; callers that
-     * need to skip the diagonal compare j against i.
+     * Positions [first, last) into bandOrder() of every entry whose
+     * Hamming weight lies in [pc - radius, pc + radius], where
+     * pc = weightOf(i) — the candidate neighbours of entry @p i
+     * admitted by the popcount bound, as one contiguous run (the
+     * bands are stored in ascending weight order).  @p i itself is
+     * among them.
      */
-    template <typename Fn>
-    void forEachCandidate(std::size_t i, int radius, Fn &&fn) const
+    std::pair<std::size_t, std::size_t> candidateRange(std::size_t i,
+                                                       int radius) const
     {
         const int pc = weights_[i];
         const int lo = pc - radius < 0 ? 0 : pc - radius;
         const int hi = pc + radius > numBits_ ? numBits_ : pc + radius;
-        for (int w = lo; w <= hi; ++w) {
-            for (const std::uint32_t j : band(w))
-                fn(static_cast<std::size_t>(j));
-        }
+        return {offsets_[static_cast<std::size_t>(lo)],
+                offsets_[static_cast<std::size_t>(hi) + 1]};
+    }
+
+    /**
+     * Invoke fn(j) for every candidate neighbour j of entry @p i
+     * (see candidateRange()).  Bands are visited in ascending weight
+     * order and indices ascending within a band, so the visit order
+     * is a pure function of the distribution.  @p i itself is
+     * visited too; callers that need to skip the diagonal compare j
+     * against i.
+     */
+    template <typename Fn>
+    void forEachCandidate(std::size_t i, int radius, Fn &&fn) const
+    {
+        const auto [first, last] = candidateRange(i, radius);
+        for (std::size_t k = first; k < last; ++k)
+            fn(static_cast<std::size_t>(indices_[k]));
     }
 
   private:

@@ -20,28 +20,30 @@
  * tiers, batch sizes and thread counts (no FMA contraction anywhere:
  * the build compiles with -ffp-contract=off).
  *
- * The active tier is probed once (CPUID) and can be forced with
- * HAMMER_KERNELS=scalar|sse2|avx2|neon for the parity test suite;
- * forcing a tier the host cannot run is a hard error.
+ * The active tier is common::probedTier(): probed once (CPUID) and
+ * forced with HAMMER_KERNELS=scalar|sse2|avx2|neon for the parity
+ * test suite; forcing a tier the host cannot run is a hard error.
  */
 
 #ifndef HAMMER_SIM_KERNELS_HPP
 #define HAMMER_SIM_KERNELS_HPP
 
 #include <cstddef>
-#include <string>
-#include <vector>
+
+#include "common/kernel_tier.hpp"
 
 namespace hammer::sim {
 
-/** ISA tiers, in dispatch-preference order (highest wins). */
-enum class KernelTier
-{
-    Scalar = 0,
-    Sse2 = 1,
-    Avx2 = 2,
-    Neon = 3,
-};
+// The tier enum and the host probe live in common (core's HAMMER
+// kernels dispatch on the same tier); re-exported here so sim callers
+// keep their spelling.
+using common::bestSupportedTier;
+using common::KernelTier;
+using common::parseTier;
+using common::supportedTiers;
+using common::tierCompiled;
+using common::tierName;
+using common::tierSupported;
 
 /**
  * Batched-plane lane stride granularity, in doubles.
@@ -125,34 +127,14 @@ extern const KernelTable kNeonKernels;
 #endif
 #endif // !HAMMER_DISABLE_SIMD
 
-/** Canonical lower-case tier name ("scalar", "sse2", ...). */
-const char *tierName(KernelTier tier);
-
-/** Parse a tier name; returns false on unknown input. */
-bool parseTier(const std::string &name, KernelTier &out);
-
-/** True when this build contains the tier's translation unit. */
-bool tierCompiled(KernelTier tier);
-
-/** True when the tier is compiled in AND the host CPU can run it. */
-bool tierSupported(KernelTier tier);
-
-/** Every supported tier, ascending (always contains Scalar). */
-std::vector<KernelTier> supportedTiers();
-
-/** Highest supported tier (the probe's dispatch choice). */
-KernelTier bestSupportedTier();
-
 /** Tier's kernel table, or nullptr when unsupported on this host. */
 const KernelTable *kernelsForTier(KernelTier tier);
 
 /**
  * The dispatched kernel table.
  *
- * First call probes the CPU once; HAMMER_KERNELS=<tier> overrides the
- * probe (a forced tier the host cannot run is a hard error, so CI
- * legs fail loudly instead of silently testing the wrong tier).
- * setActiveKernels() overrides both (bench/test hook).
+ * The table of common::probedTier() (CPUID, or HAMMER_KERNELS=<tier>
+ * when set).  setActiveKernels() overrides it (bench/test hook).
  */
 const KernelTable &activeKernels();
 

@@ -13,8 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "api/mitigation.hpp"
 #include "api/pipeline.hpp"
 #include "api/service.hpp"
+#include "common/checksum.hpp"
+#include "common/fault_injection.hpp"
 #include "graph/generators.hpp"
 #include "noise/exact_sampler.hpp"
 
@@ -192,6 +195,109 @@ TEST(ExecutionService, CoalescesExecutionAcrossMitigations)
     const auto stats = service.stats();
     EXPECT_EQ(stats.executeRuns, 1u);
     EXPECT_EQ(stats.executeShared, 1u);
+}
+
+TEST(ExecutionService, ExecCacheHitAfterJobEndServesTheAliasedRaw)
+{
+    // The execution entry is published at job end and shares the
+    // cached Result's raw histogram; a later job with another
+    // mitigation chain replays it bit for bit.
+    ExecutionServiceOptions options;
+    options.workers = 1;
+    ExecutionService service{options};
+    auto hammer_spec = smallBvSpec(11);
+    auto none_spec = smallBvSpec(11);
+    none_spec.mitigation = "none";
+    const Result first = service.wait(service.submit(hammer_spec));
+    const Result second = service.wait(service.submit(none_spec));
+    expectSameResult(Pipeline().run(none_spec), second, "replayed job");
+    EXPECT_TRUE(identical(first.raw, second.raw));
+
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.executeRuns, 1u);
+    EXPECT_EQ(stats.executeShared, 1u);
+    EXPECT_EQ(stats.cachePoisonDetected, 0u);
+}
+
+/** Poisons only the execution-cache insert of one canonical key. */
+class PoisonExecInsert final : public hammer::common::FaultInjector
+{
+  public:
+    explicit PoisonExecInsert(const std::string &execKey)
+        : key_(hammer::common::fnv1a64(execKey))
+    {
+    }
+
+    hammer::common::FaultAction at(hammer::common::FaultSite site,
+                                   std::uint64_t key) override
+    {
+        hammer::common::FaultAction action;
+        if (site == hammer::common::FaultSite::CacheInsert && key == key_)
+            action.kind = hammer::common::FaultAction::Kind::Poison;
+        return action;
+    }
+
+  private:
+    std::uint64_t key_;
+};
+
+TEST(ExecutionService, PoisonedExecEntryIsDetected)
+{
+    auto hammer_spec = smallBvSpec(12);
+    auto none_spec = smallBvSpec(12);
+    none_spec.mitigation = "none";
+    ExecutionServiceOptions options;
+    options.workers = 1;
+    options.faultInjector =
+        std::make_shared<PoisonExecInsert>(*canonicalExecKey(hammer_spec));
+    ExecutionService service{options};
+    service.wait(service.submit(hammer_spec));
+    // The poisoned entry fails verification: the job recomputes the
+    // histogram instead of serving the corrupt copy.
+    expectSameResult(Pipeline().run(none_spec),
+                     service.wait(service.submit(none_spec)),
+                     "recomputed job");
+
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.cachePoisonDetected, 1u);
+    EXPECT_EQ(stats.executeRuns, 2u);
+    EXPECT_EQ(stats.executeShared, 0u);
+}
+
+/** A prebuilt mitigation stage that always fails. */
+class FailingMitigator final : public hammer::api::Mitigator
+{
+  public:
+    std::string name() const override { return "failing"; }
+
+    Distribution apply(const Distribution &,
+                       hammer::api::MitigationContext &) const override
+    {
+        throw std::runtime_error("mitigation failed");
+    }
+};
+
+TEST(ExecutionService, JobFailingAfterExecutionLeavesNoInflightEntry)
+{
+    // The failing job executes (and registers its in-flight execution
+    // entry), then throws in mitigation.  Its entry must be gone:
+    // the next identical execution runs afresh instead of attaching
+    // to a failed job's outcome.
+    ExecutionServiceOptions options;
+    options.workers = 1;
+    ExecutionService service{options};
+    auto failing = smallBvSpec(13);
+    failing.mitigator = std::make_shared<FailingMitigator>();
+    ASSERT_TRUE(canonicalExecKey(failing).has_value());
+    const auto handle = service.submit(failing);
+    EXPECT_THROW(service.wait(handle), std::runtime_error);
+
+    const auto spec = smallBvSpec(13);
+    expectSameResult(Pipeline().run(spec),
+                     service.wait(service.submit(spec)), "retried spec");
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.executeRuns, 2u);
+    EXPECT_EQ(stats.executeShared, 0u);
 }
 
 TEST(ExecutionService, BoundedLruEvicts)

@@ -1,0 +1,579 @@
+/**
+ * @file
+ * HAMMER pair-scan kernels: tier parity and the textbook oracle.
+ *
+ * The contract under test (hammer_kernels.hpp):
+ *
+ *  - every kernel tier and every thread count gives the same bits
+ *    for the full reconstruct() output, HammerStats and weights;
+ *  - against the textbook ordered-pair loop (kept below as the
+ *    oracle), the output is bit-identical when every probability is
+ *    a multiple of 2^-k (counts/8192), and within 1e-12 otherwise
+ *    (counts/1000, random probabilities; the aggregate CHS and
+ *    weights within a relative 1e-12).
+ *
+ * Tiers are forced in-process through setActiveHammerKernels(), so
+ * one run covers every tier this host supports; the ctest
+ * tier_parity_core_<tier> legs re-run the suite under
+ * HAMMER_KERNELS=<tier> to exercise the probe path too.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdlib>
+#include <string>
+#include <vector>
+
+#include "common/bitops.hpp"
+#include "common/kernel_tier.hpp"
+#include "common/rng.hpp"
+#include "core/hammer.hpp"
+#include "core/hammer_kernels.hpp"
+#include "core/spectrum.hpp"
+
+namespace {
+
+using hammer::common::Bits;
+using hammer::common::KernelTier;
+using hammer::common::Rng;
+using namespace hammer::core;
+
+/** Scoped kernel override; always reverts to the probed tier. */
+class KernelsGuard
+{
+  public:
+    explicit KernelsGuard(const HammerKernels *kernels)
+    {
+        setActiveHammerKernels(kernels);
+    }
+    ~KernelsGuard() { setActiveHammerKernels(nullptr); }
+};
+
+/** How the probabilities of a test histogram are drawn. */
+enum class Mass
+{
+    Dyadic,  ///< counts / 8192: every probability a multiple of 2^-13.
+    Per1000, ///< counts / 1000.
+    Random,  ///< uniform weights, normalised.
+};
+
+const char *
+massName(Mass mass)
+{
+    switch (mass) {
+    case Mass::Dyadic:
+        return "counts/8192";
+    case Mass::Per1000:
+        return "counts/1000";
+    case Mass::Random:
+        return "random";
+    }
+    return "?";
+}
+
+Bits
+randomBits(Rng &rng, int n)
+{
+    const Bits hi = rng.uniformInt(Bits{1} << 32);
+    const Bits lo = rng.uniformInt(Bits{1} << 32);
+    const Bits x = (hi << 32) | lo;
+    return n == 64 ? x : x & ((Bits{1} << n) - 1);
+}
+
+/**
+ * A histogram of @p support distinct n-bit outcomes.  Outcomes
+ * cluster around a random centre (so every distance bin fills, not
+ * only the ~n/2 of uniform strings) and, at n = 64, always include
+ * one with bit 63 set.
+ */
+Distribution
+histogram(int n, std::size_t support, Mass mass, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const Bits centre = randomBits(rng, n);
+    std::vector<Bits> outcomes;
+    if (n == 64)
+        outcomes.push_back(centre | (Bits{1} << 63));
+    while (outcomes.size() < support) {
+        Bits x = centre;
+        const int flips = static_cast<int>(rng.uniformInt(
+            static_cast<std::uint64_t>(n) + 1));
+        for (int f = 0; f < flips; ++f)
+            x ^= Bits{1} << rng.uniformInt(static_cast<std::uint64_t>(n));
+        if (std::find(outcomes.begin(), outcomes.end(), x) ==
+            outcomes.end())
+            outcomes.push_back(x);
+    }
+
+    Distribution d(n);
+    if (mass == Mass::Random) {
+        for (const Bits x : outcomes)
+            d.set(x, rng.uniform(0.01, 1.0));
+        d.normalize();
+        return d;
+    }
+    const std::uint64_t total = mass == Mass::Dyadic ? 8192 : 1000;
+    std::vector<std::uint64_t> counts(outcomes.size(), 1);
+    for (std::uint64_t left = total - outcomes.size(); left > 0; --left)
+        ++counts[rng.uniformInt(outcomes.size())];
+    for (std::size_t k = 0; k < outcomes.size(); ++k)
+        d.set(outcomes[k], static_cast<double>(counts[k]) /
+                               static_cast<double>(total));
+    return d;
+}
+
+/**
+ * The textbook Algorithm 1 the kernels replace: one floating-point
+ * add per ordered pair in Step 1, and the ascending-j rescoring loop
+ * of Step 3 that skips the diagonal.
+ */
+Distribution
+oracleReconstruct(const Distribution &input, const HammerConfig &config,
+                  HammerStats &stats)
+{
+    const int n = input.numBits();
+    const auto &entries = input.entries();
+    const std::size_t count = entries.size();
+    const int dmax = config.maxDistance < 0 ? defaultMaxDistance(n)
+                                            : config.maxDistance;
+
+    std::vector<double> chs(static_cast<std::size_t>(n) + 1, 0.0);
+    for (std::size_t i = 0; i < count; ++i) {
+        chs[0] += entries[i].probability;
+        for (std::size_t j = 0; j < count; ++j) {
+            if (j == i)
+                continue;
+            chs[static_cast<std::size_t>(hammer::common::hammingDistance(
+                entries[i].outcome, entries[j].outcome))] +=
+                entries[j].probability;
+        }
+    }
+    chs.resize(static_cast<std::size_t>(dmax) + 1);
+
+    std::vector<double> weights(chs.size(), 0.0);
+    for (std::size_t d = 0; d < chs.size(); ++d) {
+        switch (config.weightScheme) {
+        case WeightScheme::InverseChs:
+            if (chs[d] > 0.0)
+                weights[d] = 1.0 / chs[d];
+            break;
+        case WeightScheme::Uniform:
+            weights[d] = 1.0;
+            break;
+        case WeightScheme::InverseBinomial:
+            weights[d] = 1.0 / hammer::common::binomial(
+                                   n, static_cast<int>(d));
+            break;
+        }
+    }
+    std::vector<double> weights_ext = weights;
+    weights_ext.resize(static_cast<std::size_t>(n) + 1, 0.0);
+
+    std::vector<Entry> rescored;
+    for (std::size_t i = 0; i < count; ++i) {
+        const double px = entries[i].probability;
+        double score = px;
+        for (std::size_t j = 0; j < count; ++j) {
+            if (j == i)
+                continue;
+            const double pj = entries[j].probability;
+            if (config.filterLowerProbability && !(px > pj))
+                continue;
+            score += weights_ext[static_cast<std::size_t>(
+                         hammer::common::hammingDistance(
+                             entries[i].outcome, entries[j].outcome))] *
+                     pj;
+        }
+        rescored.push_back(
+            {entries[i].outcome,
+             config.scoreCombine == ScoreCombine::Multiplicative
+                 ? score * px
+                 : score});
+    }
+    Distribution out = Distribution::fromSorted(n, std::move(rescored));
+    out.normalize();
+
+    stats.uniqueOutcomes = count;
+    stats.maxDistance = dmax;
+    stats.aggregateChs = chs;
+    stats.weights = weights;
+    stats.pairOperations = 2 * count * (count - 1);
+    return out;
+}
+
+void
+expectSameBits(const Distribution &got, const Distribution &want,
+               const std::string &what)
+{
+    ASSERT_EQ(got.support(), want.support()) << what;
+    for (std::size_t i = 0; i < got.support(); ++i) {
+        ASSERT_EQ(got.entries()[i].outcome, want.entries()[i].outcome)
+            << what << ", entry " << i;
+        ASSERT_EQ(got.entries()[i].probability,
+                  want.entries()[i].probability)
+            << what << ", entry " << i;
+    }
+}
+
+void
+expectSameBits(const HammerStats &got, const HammerStats &want,
+               const std::string &what)
+{
+    EXPECT_EQ(got.uniqueOutcomes, want.uniqueOutcomes) << what;
+    EXPECT_EQ(got.maxDistance, want.maxDistance) << what;
+    EXPECT_EQ(got.pairOperations, want.pairOperations) << what;
+    ASSERT_EQ(got.aggregateChs.size(), want.aggregateChs.size()) << what;
+    for (std::size_t d = 0; d < got.aggregateChs.size(); ++d)
+        EXPECT_EQ(got.aggregateChs[d], want.aggregateChs[d])
+            << what << ", chs bin " << d;
+    ASSERT_EQ(got.weights.size(), want.weights.size()) << what;
+    for (std::size_t d = 0; d < got.weights.size(); ++d)
+        EXPECT_EQ(got.weights[d], want.weights[d])
+            << what << ", weight " << d;
+}
+
+bool
+relativelyClose(double a, double b)
+{
+    return std::fabs(a - b) <=
+           1e-12 * std::max({std::fabs(a), std::fabs(b), 1.0});
+}
+
+/** The oracle check: bits on dyadic input, 1e-12 otherwise. */
+void
+expectMatchesOracle(const Distribution &input, const HammerConfig &config,
+                    Mass mass, const Distribution &got,
+                    const HammerStats &stats, const std::string &what)
+{
+    HammerStats oracle_stats;
+    const Distribution oracle =
+        oracleReconstruct(input, config, oracle_stats);
+    if (mass == Mass::Dyadic) {
+        expectSameBits(got, oracle, what + " vs oracle");
+        expectSameBits(stats, oracle_stats, what + " vs oracle");
+        return;
+    }
+    ASSERT_EQ(got.support(), oracle.support()) << what;
+    for (std::size_t i = 0; i < got.support(); ++i)
+        ASSERT_NEAR(got.entries()[i].probability,
+                    oracle.entries()[i].probability, 1e-12)
+            << what << " vs oracle, entry " << i;
+    EXPECT_EQ(stats.pairOperations, oracle_stats.pairOperations) << what;
+    ASSERT_EQ(stats.aggregateChs.size(), oracle_stats.aggregateChs.size());
+    for (std::size_t d = 0; d < stats.aggregateChs.size(); ++d) {
+        EXPECT_TRUE(relativelyClose(stats.aggregateChs[d],
+                                    oracle_stats.aggregateChs[d]))
+            << what << " vs oracle, chs bin " << d;
+        EXPECT_TRUE(
+            relativelyClose(stats.weights[d], oracle_stats.weights[d]))
+            << what << " vs oracle, weight " << d;
+    }
+}
+
+/** Every tier this host runs, each tier's kernels once. */
+std::vector<const HammerKernels *>
+supportedKernels()
+{
+    std::vector<const HammerKernels *> out;
+    for (const KernelTier tier : hammer::common::supportedTiers())
+        out.push_back(hammerKernelsForTier(tier));
+    return out;
+}
+
+/**
+ * reconstruct() under the scalar kernels is the reference; the
+ * probed (or HAMMER_KERNELS-forced) tier and every supported tier
+ * must reproduce it bit for bit, and it must match the oracle.
+ */
+void
+checkAllTiers(const Distribution &input, const HammerConfig &config,
+              Mass mass, const std::string &what)
+{
+    HammerStats ref_stats;
+    Distribution reference(input.numBits());
+    {
+        KernelsGuard guard(&kScalarHammerKernels);
+        reference = reconstruct(input, config, &ref_stats);
+    }
+    expectMatchesOracle(input, config, mass, reference, ref_stats, what);
+
+    HammerStats stats;
+    const Distribution probed = reconstruct(input, config, &stats);
+    expectSameBits(probed, reference, what + " (probed tier)");
+    expectSameBits(stats, ref_stats, what + " (probed tier)");
+    for (const HammerKernels *kernels : supportedKernels()) {
+        KernelsGuard guard(kernels);
+        const std::string tier =
+            what + " (" + hammer::common::tierName(kernels->tier) + ")";
+        HammerStats tier_stats;
+        expectSameBits(reconstruct(input, config, &tier_stats),
+                       reference, tier);
+        expectSameBits(tier_stats, ref_stats, tier);
+        // Step 2 in isolation reports the weights reconstruct used.
+        const std::vector<double> weights = hammerWeights(input, config);
+        ASSERT_EQ(weights.size(), ref_stats.weights.size()) << tier;
+        for (std::size_t d = 0; d < weights.size(); ++d)
+            EXPECT_EQ(weights[d], ref_stats.weights[d])
+                << tier << ", hammerWeights " << d;
+    }
+}
+
+std::string
+describe(int n, std::size_t support, Mass mass, const HammerConfig &c)
+{
+    return "n=" + std::to_string(n) + " N=" + std::to_string(support) +
+           " " + massName(mass) + " radius=" +
+           std::to_string(c.maxDistance) +
+           " filter=" + std::to_string(c.filterLowerProbability) +
+           " scheme=" + std::to_string(static_cast<int>(c.weightScheme)) +
+           " combine=" + std::to_string(static_cast<int>(c.scoreCombine));
+}
+
+TEST(HammerKernels, ProbeFollowsTheEnvironment)
+{
+    const HammerKernels &active = activeHammerKernels();
+    const KernelTier probed = hammer::common::probedTier();
+    EXPECT_EQ(&active, hammerKernelsForTier(probed));
+    EXPECT_EQ(active.tier, probed == KernelTier::Avx2 ? KernelTier::Avx2
+                                                      : KernelTier::Scalar);
+    if (const char *env = std::getenv("HAMMER_KERNELS");
+        env != nullptr && *env != '\0') {
+        EXPECT_STREQ(hammer::common::tierName(probed), env);
+    }
+    for (const KernelTier tier :
+         {KernelTier::Sse2, KernelTier::Avx2, KernelTier::Neon}) {
+        if (!hammer::common::tierSupported(tier)) {
+            EXPECT_EQ(hammerKernelsForTier(tier), nullptr);
+        }
+    }
+}
+
+TEST(HammerKernels, CountDistancesMatchesPopcountOnEveryTier)
+{
+    Rng rng(5);
+    // Lengths around the AVX2 tier's 32-outcome pass and its 255-pass
+    // byte-counter fold (8160 outcomes), with every bin limit.
+    for (const std::size_t count :
+         {std::size_t{0}, std::size_t{1}, std::size_t{31},
+          std::size_t{32}, std::size_t{33}, std::size_t{100},
+          std::size_t{8160}, std::size_t{8191}, std::size_t{20000}}) {
+        const int n = static_cast<int>(1 + rng.uniformInt(64));
+        std::vector<Bits> outcomes(count);
+        for (Bits &y : outcomes)
+            y = randomBits(rng, n);
+        const Bits x = randomBits(rng, n);
+        std::vector<std::uint64_t> want(kDistanceBins, 0);
+        for (const Bits y : outcomes)
+            ++want[static_cast<std::size_t>(std::popcount(x ^ y))];
+        for (const HammerKernels *kernels : supportedKernels()) {
+            for (const std::size_t bins :
+                 {std::size_t{1}, std::size_t{7}, kDistanceBins}) {
+                std::vector<std::uint64_t> got(bins, 99);
+                kernels->countDistances(x, outcomes.data(), count, bins,
+                                        got.data());
+                for (std::size_t d = 0; d < bins; ++d)
+                    ASSERT_EQ(got[d], want[d])
+                        << hammer::common::tierName(kernels->tier)
+                        << " count=" << count << " bins=" << bins
+                        << " d=" << d;
+            }
+        }
+    }
+}
+
+TEST(HammerKernels, CountDistancesSurvivesOneBinOverflowingAByte)
+{
+    // 20000 copies of x: every outcome lands in bin 0, far beyond
+    // what an 8-bit counter holds between folds.
+    const std::vector<Bits> same(20000, Bits{0xdeadbeef});
+    for (const HammerKernels *kernels : supportedKernels()) {
+        std::uint64_t counts[2] = {7, 7};
+        kernels->countDistances(Bits{0xdeadbeef}, same.data(), same.size(),
+                                2, counts);
+        EXPECT_EQ(counts[0], 20000u);
+        EXPECT_EQ(counts[1], 0u);
+    }
+}
+
+TEST(HammerKernels, ScoreRowsMatchesScalarOnAnyRowRange)
+{
+    const Distribution d = histogram(20, 300, Mass::Random, 11);
+    std::vector<Bits> outcomes;
+    std::vector<double> probs;
+    for (const Entry &e : d.entries()) {
+        outcomes.push_back(e.outcome);
+        probs.push_back(e.probability);
+    }
+    std::vector<double> weights(kDistanceBins, 0.0);
+    for (std::size_t k = 1; k <= 9; ++k)
+        weights[k] = 1.0 / static_cast<double>(k * k + 3);
+    for (const bool filter : {true, false}) {
+        for (const auto &[first, last] :
+             std::vector<std::pair<std::size_t, std::size_t>>{
+                 {0, 300}, {3, 4}, {5, 12}, {17, 81}, {299, 300}}) {
+            std::vector<double> want(last - first);
+            kScalarHammerKernels.scoreRows(
+                outcomes.data(), probs.data(), outcomes.size(), first, last,
+                weights.data(), filter, want.data());
+            for (const HammerKernels *kernels : supportedKernels()) {
+                std::vector<double> got(last - first, -1.0);
+                kernels->scoreRows(outcomes.data(), probs.data(),
+                                   outcomes.size(), first, last,
+                                   weights.data(), filter, got.data());
+                for (std::size_t r = 0; r < got.size(); ++r)
+                    ASSERT_EQ(got[r], want[r])
+                        << hammer::common::tierName(kernels->tier)
+                        << " rows [" << first << ", " << last
+                        << ") row " << first + r;
+            }
+        }
+    }
+}
+
+TEST(HammerKernels, EveryConfigMatchesScalarTierAndOracle)
+{
+    // Radius 0..n, filter on/off, all weight schemes and combines,
+    // supports at and around the 8-row block and the 64-row chunk.
+    std::uint64_t seed = 100;
+    for (const int n : {4, 11}) {
+        for (const std::size_t support :
+             {std::size_t{1}, std::size_t{7}, std::size_t{8},
+              std::size_t{9}, std::size_t{257}}) {
+            if (support > (std::size_t{1} << n))
+                continue;
+            for (const Mass mass :
+                 {Mass::Dyadic, Mass::Per1000, Mass::Random}) {
+                const Distribution input =
+                    histogram(n, support, mass, ++seed);
+                for (int radius = 0; radius <= n; ++radius) {
+                    for (const bool filter : {true, false}) {
+                        for (const auto scheme :
+                             {WeightScheme::InverseChs,
+                              WeightScheme::Uniform,
+                              WeightScheme::InverseBinomial}) {
+                            for (const auto combine :
+                                 {ScoreCombine::Multiplicative,
+                                  ScoreCombine::Additive}) {
+                                HammerConfig config;
+                                config.maxDistance = radius;
+                                config.filterLowerProbability = filter;
+                                config.weightScheme = scheme;
+                                config.scoreCombine = combine;
+                                config.threads = 1;
+                                checkAllTiers(
+                                    input, config, mass,
+                                    describe(n, support, mass, config));
+                                if (HasFatalFailure())
+                                    return;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(HammerKernels, EveryWidthFromOneToSixtyFour)
+{
+    std::uint64_t seed = 900;
+    for (int n = 1; n <= 64; ++n) {
+        for (const std::size_t support :
+             {std::size_t{1}, std::size_t{7}, std::size_t{8},
+              std::size_t{9}, std::size_t{257}}) {
+            if (n < 63 && support > (std::size_t{1} << n))
+                continue;
+            for (const Mass mass :
+                 {Mass::Dyadic, Mass::Per1000, Mass::Random}) {
+                const Distribution input =
+                    histogram(n, support, mass, ++seed);
+                for (const int radius : {-1, n}) {
+                    HammerConfig config;
+                    config.maxDistance = radius;
+                    config.threads = 1;
+                    checkAllTiers(input, config, mass,
+                                  describe(n, support, mass, config));
+                    if (HasFatalFailure())
+                        return;
+                }
+            }
+        }
+    }
+}
+
+TEST(HammerKernels, BitIdenticalAcrossThreadCounts)
+{
+    for (const Mass mass : {Mass::Dyadic, Mass::Random}) {
+        const Distribution input = histogram(16, 1000, mass, 77);
+        for (const bool filter : {true, false}) {
+            HammerConfig serial;
+            serial.filterLowerProbability = filter;
+            serial.threads = 1;
+            HammerStats serial_stats;
+            const Distribution reference =
+                reconstruct(input, serial, &serial_stats);
+            for (const HammerKernels *kernels : supportedKernels()) {
+                KernelsGuard guard(kernels);
+                for (int threads = 1; threads <= 4; ++threads) {
+                    HammerConfig config = serial;
+                    config.threads = threads;
+                    HammerStats stats;
+                    const std::string what =
+                        std::string(hammer::common::tierName(
+                            kernels->tier)) +
+                        ", " + std::to_string(threads) + " threads";
+                    expectSameBits(reconstruct(input, config, &stats),
+                                   reference, what);
+                    expectSameBits(stats, serial_stats, what);
+                }
+            }
+        }
+    }
+}
+
+TEST(HammerKernels, WeightsAgreeAcrossEveryEntryPoint)
+{
+    // hammerWeights(), reconstruct() and reconstructFast() share one
+    // Step-1 kernel, so their weights agree bit for bit; the spectrum
+    // module's symmetric loop is the independent reference.
+    for (const Mass mass : {Mass::Dyadic, Mass::Per1000, Mass::Random}) {
+        const Distribution input = histogram(12, 400, mass, 31);
+        for (const int radius : {-1, 0, 3, 12}) {
+            for (const auto scheme :
+                 {WeightScheme::InverseChs, WeightScheme::Uniform,
+                  WeightScheme::InverseBinomial}) {
+                HammerConfig config;
+                config.maxDistance = radius;
+                config.weightScheme = scheme;
+                HammerStats slow, fast;
+                reconstruct(input, config, &slow);
+                reconstructFast(input, config, &fast);
+                const std::vector<double> weights =
+                    hammerWeights(input, config);
+                ASSERT_EQ(weights.size(), slow.weights.size());
+                ASSERT_EQ(fast.weights.size(), slow.weights.size());
+                for (std::size_t d = 0; d < weights.size(); ++d) {
+                    EXPECT_EQ(weights[d], slow.weights[d]) << d;
+                    EXPECT_EQ(fast.weights[d], slow.weights[d]) << d;
+                    EXPECT_EQ(fast.aggregateChs[d], slow.aggregateChs[d])
+                        << d;
+                }
+                const std::vector<double> chs =
+                    aggregateChs(input, slow.maxDistance);
+                for (std::size_t d = 0; d < chs.size(); ++d) {
+                    if (mass == Mass::Dyadic)
+                        EXPECT_EQ(slow.aggregateChs[d], chs[d]) << d;
+                    else
+                        EXPECT_TRUE(
+                            relativelyClose(slow.aggregateChs[d], chs[d]))
+                            << d;
+                }
+            }
+        }
+    }
+}
+
+} // namespace
