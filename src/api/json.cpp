@@ -1,8 +1,10 @@
 #include "api/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <string_view>
+#include <utility>
 
 #include "common/logging.hpp"
 
@@ -11,11 +13,21 @@ namespace hammer::api {
 using common::fatal;
 using common::require;
 
-std::string
-jsonQuote(const std::string &text)
+namespace {
+
+/** Append @p text to @p out as a quoted, escaped JSON string. */
+void
+appendQuoted(std::string &out, std::string_view text)
 {
-    std::string out = "\"";
-    for (const char c : text) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    out += '"';
+    std::size_t run = 0; // start of the pending run of plain bytes
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const auto c = static_cast<unsigned char>(text[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(text.data() + run, i - run);
+        run = i + 1;
         switch (c) {
         case '"':
             out += "\\\"";
@@ -32,30 +44,49 @@ jsonQuote(const std::string &text)
         case '\t':
             out += "\\t";
             break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
+        default: {
+            const char escape[] = {'\\', 'u',           '0',
+                                   '0',  kHex[c >> 4], kHex[c & 0xF]};
+            out.append(escape, sizeof(escape));
+        }
         }
     }
+    out.append(text.data() + run, text.size() - run);
     out += '"';
+}
+
+void
+appendNumber(std::string &out, double value)
+{
+    if (!std::isfinite(value)) {
+        out += "null";
+        return;
+    }
+    char buf[32]; // "%.17g" needs at most 24 ("-1.2345678901234567e-308")
+    const auto [end, error] = std::to_chars(
+        buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+    if (error != std::errc())
+        common::panic("jsonNumber: to_chars failed");
+    out.append(buf, end);
+}
+
+} // namespace
+
+std::string
+jsonQuote(const std::string &text)
+{
+    std::string out;
+    out.reserve(text.size() + 2);
+    appendQuoted(out, text);
     return out;
 }
 
 std::string
 jsonNumber(double value)
 {
-    if (!std::isfinite(value))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
+    std::string out;
+    appendNumber(out, value);
+    return out;
 }
 
 void
@@ -78,6 +109,13 @@ JsonWriter::beginObject()
     separate();
     out_ += '{';
     hasItems_.push_back(false);
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::resumeObject()
+{
+    hasItems_.push_back(true);
     return *this;
 }
 
@@ -110,7 +148,7 @@ JsonWriter &
 JsonWriter::key(const std::string &name)
 {
     separate();
-    out_ += jsonQuote(name);
+    appendQuoted(out_, name);
     out_ += ':';
     pendingKey_ = true;
     return *this;
@@ -120,21 +158,23 @@ JsonWriter &
 JsonWriter::value(const std::string &text)
 {
     separate();
-    out_ += jsonQuote(text);
+    appendQuoted(out_, text);
     return *this;
 }
 
 JsonWriter &
 JsonWriter::value(const char *text)
 {
-    return value(std::string(text));
+    separate();
+    appendQuoted(out_, text);
+    return *this;
 }
 
 JsonWriter &
 JsonWriter::value(double number)
 {
     separate();
-    out_ += jsonNumber(number);
+    appendNumber(out_, number);
     return *this;
 }
 
@@ -239,11 +279,44 @@ class JsonParser
 
     JsonValue parse()
     {
-        const JsonValue value = parseValue();
-        skipWhitespace();
-        require(pos_ == text_.size(),
-                "JSON: trailing characters at offset " +
-                    std::to_string(pos_));
+        JsonValue value = parseValue();
+        finish();
+        return value;
+    }
+
+    /** See parseResultJson. */
+    JsonValue parseResult(ResultHistograms &histograms)
+    {
+        enterValue();
+        if (peek() != '{') {
+            JsonValue value = parseValue();
+            finish();
+            return value;
+        }
+        bool seenHistogram = false;
+        JsonValue value = parseObject([&](const std::string &key) {
+            if (key != "histogram" || std::exchange(seenHistogram, true))
+                return parseValue();
+            enterValue();
+            if (peek() != '{')
+                return parseValue();
+            bool seenRaw = false;
+            bool seenMitigated = false;
+            return parseObject([&](const std::string &name) {
+                HistogramArray *target = nullptr;
+                if (name == "raw" && !std::exchange(seenRaw, true))
+                    target = &histograms.raw;
+                else if (name == "mitigated" &&
+                         !std::exchange(seenMitigated, true))
+                    target = &histograms.mitigated;
+                enterValue();
+                if (!target || peek() != '[')
+                    return parseValue();
+                parseHistogram(*target);
+                return JsonValue{}; // the slot: decoded into target
+            });
+        });
+        finish();
         return value;
     }
 
@@ -251,6 +324,14 @@ class JsonParser
     [[noreturn]] void fail(const std::string &what) const
     {
         fatal("JSON: " + what + " at offset " + std::to_string(pos_));
+    }
+
+    void finish()
+    {
+        skipWhitespace();
+        require(pos_ == text_.size(),
+                "JSON: trailing characters at offset " +
+                    std::to_string(pos_));
     }
 
     void skipWhitespace()
@@ -292,15 +373,29 @@ class JsonParser
     // stack.
     static constexpr int kMaxDepth = 256;
 
-    JsonValue parseValue()
+    /** Whitespace, then the depth check every value starts with. */
+    void enterValue()
     {
         skipWhitespace();
         if (depth_ >= kMaxDepth)
             fail("nesting deeper than " + std::to_string(kMaxDepth) +
                  " levels");
+    }
+
+    /** True when parseValue would read @p c as the start of a number. */
+    static bool startsNumber(char c)
+    {
+        return c != '{' && c != '[' && c != '"' && c != 't' &&
+               c != 'f' && c != 'n';
+    }
+
+    JsonValue parseValue()
+    {
+        enterValue();
         switch (peek()) {
         case '{':
-            return parseObject();
+            return parseObject(
+                [this](const std::string &) { return parseValue(); });
         case '[':
             return parseArray();
         case '"': {
@@ -325,12 +420,18 @@ class JsonParser
             if (!consumeLiteral("null"))
                 fail("bad literal");
             return JsonValue{};
-        default:
-            return parseNumber();
+        default: {
+            JsonValue value;
+            value.kind_ = JsonValue::Kind::Number;
+            value.number_ = parseNumber();
+            return value;
+        }
         }
     }
 
-    JsonValue parseObject()
+    /** An object; @p member(key) parses each member's value. */
+    template <typename Member>
+    JsonValue parseObject(Member &&member)
     {
         expect('{');
         ++depth_;
@@ -347,7 +448,9 @@ class JsonParser
             std::string key = parseString();
             skipWhitespace();
             expect(':');
-            value.members_.emplace_back(std::move(key), parseValue());
+            JsonValue parsed = member(key);
+            value.members_.emplace_back(std::move(key),
+                                        std::move(parsed));
             skipWhitespace();
             if (peek() == ',') {
                 ++pos_;
@@ -486,7 +589,37 @@ class JsonParser
         }
     }
 
-    JsonValue parseNumber()
+    /**
+     * Read the string at pos_ without copying when it has no escape
+     * (the view then points into the text); otherwise decode it into
+     * @p scratch.
+     */
+    std::string_view parseStringView(std::string &scratch)
+    {
+        if (peek() != '"')
+            fail("expected '\"'");
+        const std::size_t begin = pos_ + 1;
+        std::size_t end = begin;
+        while (end < text_.size() && text_[end] != '"' &&
+               text_[end] != '\\')
+            ++end;
+        if (end < text_.size() && text_[end] == '"') {
+            pos_ = end + 1;
+            return std::string_view(text_).substr(begin, end - begin);
+        }
+        scratch = parseString();
+        return scratch;
+    }
+
+    /**
+     * One number, strictly per RFC 8259:
+     * -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+     * The token is the same [0-9.eE+-] run as ever, so a bad one is
+     * reported whole ("bad number '01'").  std::from_chars converts;
+     * what it refuses (out of range: 1e999, 1e-400) takes strtod's
+     * answer (+-inf, 0) as before.
+     */
+    double parseNumber()
     {
         const std::size_t start = pos_;
         if (peek() == '-')
@@ -497,26 +630,193 @@ class JsonParser
                 text_[pos_] == 'E' || text_[pos_] == '+' ||
                 text_[pos_] == '-'))
             ++pos_;
-        const std::string token = text_.substr(start, pos_ - start);
-        char *end = nullptr;
-        const double number = std::strtod(token.c_str(), &end);
-        if (end == token.c_str() || *end != '\0')
-            fail("bad number '" + token + "'");
-        JsonValue value;
-        value.kind_ = JsonValue::Kind::Number;
-        value.number_ = number;
-        return value;
+        const char *const first = text_.data() + start;
+        const char *const last = text_.data() + pos_;
+        if (!strictNumber(first, last))
+            fail("bad number '" + std::string(first, last) + "'");
+        double number = 0.0;
+        const auto [end, error] = std::from_chars(first, last, number);
+        if (error != std::errc() || end != last) {
+            const std::string token(first, last);
+            number = std::strtod(token.c_str(), nullptr);
+        }
+        return number;
+    }
+
+    /** Whether [first, last) is exactly one RFC 8259 number. */
+    static bool strictNumber(const char *first, const char *last)
+    {
+        const auto digits = [&] {
+            const char *begin = first;
+            while (first != last && *first >= '0' && *first <= '9')
+                ++first;
+            return first != begin;
+        };
+        if (first != last && *first == '-')
+            ++first;
+        if (first != last && *first == '0')
+            ++first;
+        else if (!digits())
+            return false;
+        if (first != last && *first == '.') {
+            ++first;
+            if (!digits())
+                return false;
+        }
+        if (first != last && (*first == 'e' || *first == 'E')) {
+            ++first;
+            if (first != last && (*first == '+' || *first == '-'))
+                ++first;
+            if (!digits())
+                return false;
+        }
+        return first == last;
+    }
+
+    // -- Result histograms (parseResultJson) --------------------------
+
+    /** One histogram array into @p out (see HistogramArray). */
+    void parseHistogram(HistogramArray &out)
+    {
+        out.decoded = true;
+        expect('[');
+        ++depth_;
+        skipWhitespace();
+        if (peek() == ']') {
+            ++pos_;
+            --depth_;
+            return;
+        }
+        for (;;) {
+            enterValue();
+            if (peek() == '{') {
+                parseHistogramEntry(out);
+            } else {
+                parseValue();
+                reject(out, "JsonValue: not an object");
+            }
+            skipWhitespace();
+            if (peek() == ',') {
+                ++pos_;
+                continue;
+            }
+            expect(']');
+            --depth_;
+            return;
+        }
+    }
+
+    static void reject(HistogramArray &out, const char *what)
+    {
+        if (out.error.empty())
+            out.error = what;
+    }
+
+    /**
+     * One {"outcome": ..., "probability": ...} entry.  Like at(), it
+     * reads the first member of each name; other members are parsed
+     * and dropped.  The checks run in the DOM decoder's order.
+     */
+    void parseHistogramEntry(HistogramArray &out)
+    {
+        enum class Field { Absent, WrongKind, Present };
+        Field outcome = Field::Absent;
+        Field probability = Field::Absent;
+        std::string_view bits;
+        double mass = 0.0;
+
+        expect('{');
+        ++depth_;
+        skipWhitespace();
+        if (peek() == '}') {
+            ++pos_;
+        } else {
+            for (;;) {
+                skipWhitespace();
+                const std::string_view key = parseStringView(keyScratch_);
+                skipWhitespace();
+                expect(':');
+                enterValue();
+                if (key == "outcome" && outcome == Field::Absent) {
+                    if (peek() == '"') {
+                        bits = parseStringView(outcomeScratch_);
+                        outcome = Field::Present;
+                    } else {
+                        parseValue();
+                        outcome = Field::WrongKind;
+                    }
+                } else if (key == "probability" &&
+                           probability == Field::Absent) {
+                    if (startsNumber(peek())) {
+                        mass = parseNumber();
+                        probability = Field::Present;
+                    } else {
+                        parseValue();
+                        probability = Field::WrongKind;
+                    }
+                } else {
+                    parseValue();
+                }
+                skipWhitespace();
+                if (peek() == ',') {
+                    ++pos_;
+                    continue;
+                }
+                expect('}');
+                break;
+            }
+        }
+        --depth_;
+
+        if (!out.error.empty())
+            return;
+        if (outcome == Field::Absent)
+            return reject(out, "JsonValue: missing key 'outcome'");
+        if (outcome == Field::WrongKind)
+            return reject(out, "JsonValue: not a string");
+        if (out.width == 0) {
+            // The first entry fixes the width, as the DOM decoder's
+            // Distribution(width) did.
+            if (bits.empty() || bits.size() > 64)
+                return reject(out, "Distribution: bit width must be "
+                                   "in [1, 64]");
+            out.width = static_cast<int>(bits.size());
+        }
+        if (static_cast<int>(bits.size()) != out.width)
+            return reject(out,
+                          "result json: ragged histogram outcome widths");
+        common::Bits value = 0;
+        for (const char c : bits) {
+            if (c != '0' && c != '1')
+                return reject(out, "fromBitstring: non-binary char");
+            value = (value << 1) | static_cast<common::Bits>(c - '0');
+        }
+        if (probability == Field::Absent)
+            return reject(out, "JsonValue: missing key 'probability'");
+        if (probability == Field::WrongKind)
+            return reject(out, "JsonValue: not a number");
+        if (!(mass >= 0.0))
+            return reject(out, "Distribution::set: negative probability");
+        out.entries.push_back({value, mass});
     }
 
     const std::string &text_;
     std::size_t pos_ = 0;
     int depth_ = 0;
+    std::string keyScratch_;     ///< Escaped histogram-entry keys.
+    std::string outcomeScratch_; ///< Escaped outcome strings.
 };
 
 JsonValue
 parseJson(const std::string &text)
 {
     return JsonParser(text).parse();
+}
+
+JsonValue
+parseResultJson(const std::string &text, ResultHistograms &histograms)
+{
+    return JsonParser(text).parseResult(histograms);
 }
 
 void

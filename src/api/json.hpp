@@ -9,6 +9,8 @@
  * requires).  The matching parser (parseJson) reads those documents
  * back — it is what hammer_cli --serve uses to accept JSON spec lines
  * and what the round-trip tests verify the writer against.
+ * parseResultJson is the same parser with the two result histograms
+ * decoded straight into entry vectors instead of a DOM.
  */
 
 #ifndef HAMMER_API_JSON_HPP
@@ -20,12 +22,19 @@
 #include <utility>
 #include <vector>
 
+#include "core/distribution.hpp"
+
 namespace hammer::api {
 
 /** Escape and quote @p text as a JSON string literal. */
 std::string jsonQuote(const std::string &text);
 
-/** Render a double (17 significant digits; non-finite -> null). */
+/**
+ * Render a double (17 significant digits; non-finite -> null).
+ *
+ * std::to_chars(general, 17), which the standard defines to write
+ * the bytes printf("%.17g") writes, without parsing a format.
+ */
 std::string jsonNumber(double value);
 
 /**
@@ -51,6 +60,13 @@ class JsonWriter
 {
   public:
     JsonWriter &beginObject();
+
+    /**
+     * Continue an object whose opening brace and first members were
+     * written elsewhere: the next key() gets its leading comma.
+     */
+    JsonWriter &resumeObject();
+
     JsonWriter &endObject();
     JsonWriter &beginArray();
     JsonWriter &endArray();
@@ -66,8 +82,14 @@ class JsonWriter
     JsonWriter &value(bool flag);
     JsonWriter &null();
 
+    /** Preallocate @p bytes of output. */
+    void reserve(std::size_t bytes) { out_.reserve(bytes); }
+
     /** The document so far. */
     const std::string &str() const { return out_; }
+
+    /** Move the finished document out (the writer is spent). */
+    std::string take() { return std::move(out_); }
 
   private:
     void separate();
@@ -117,7 +139,6 @@ class JsonValue
     const JsonValue &at(const std::string &key) const;
 
   private:
-    friend JsonValue parseJson(const std::string &text);
     friend class JsonParser;
 
     Kind kind_ = Kind::Null;
@@ -137,6 +158,48 @@ class JsonValue
  * pairs included).
  */
 JsonValue parseJson(const std::string &text);
+
+/**
+ * One result histogram array (Result::json's [{"outcome": ...,
+ * "probability": ...}, ...]) read without a DOM.
+ */
+struct HistogramArray
+{
+    bool decoded = false; ///< The member held an array.
+
+    /** Width of the first outcome (0 while the array is empty). */
+    int width = 0;
+
+    /** Entries in document order (duplicates not yet collapsed). */
+    std::vector<core::Entry> entries;
+
+    /**
+     * The first error the DOM decoder would have raised for this
+     * array (missing key, wrong kind, ragged width, non-binary
+     * outcome, negative probability); empty when there is none.
+     * Kept instead of thrown so errors surface in the DOM decoder's
+     * order: syntax first, then fields, then raw, then mitigated.
+     */
+    std::string error;
+};
+
+/** The two histograms parseResultJson decodes. */
+struct ResultHistograms
+{
+    HistogramArray raw;
+    HistogramArray mitigated;
+};
+
+/**
+ * parseJson for one Result::json line, with the first "raw" and
+ * first "mitigated" array of the first top-level "histogram" object
+ * read straight into @p histograms.  Their DOM slots hold null, so
+ * every other member keeps its document order and first-match find()
+ * and at() see the same members parseJson would give.  Same
+ * tokenizer, depth bound and error type as parseJson.
+ */
+JsonValue parseResultJson(const std::string &text,
+                          ResultHistograms &histograms);
 
 /**
  * Re-emit a parsed value through @p out (object members in document

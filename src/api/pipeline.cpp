@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "api/json.hpp"
 #include "api/service.hpp"
@@ -82,74 +81,129 @@ Result::writeCsv(std::ostream &out, int precision) const
     core::writeDistributionCsv(out, mitigated, precision);
 }
 
-void
-Result::writeJson(std::ostream &out, int max_outcomes) const
-{
-    JsonWriter json;
-    json.beginObject();
+namespace {
 
-    json.key("label").value(label);
-    json.key("workload").value(workloadSpec);
-    json.key("family").value(family);
-    json.key("backend").value(backendName);
-    json.key("machine").value(machine);
-    json.key("mitigation").value(mitigationName);
-    json.key("measured_qubits").value(measuredQubits);
-    json.key("shots").value(shots);
-    json.key("seed").value(seed);
+/**
+ * Every member of Result::json after "label", then the closing brace:
+ * the one writer behind both json() and jsonAfterLabel(), so the two
+ * cannot drift apart by a byte.
+ */
+void
+writeFieldsAfterLabel(JsonWriter &json, const Result &result,
+                      int max_outcomes)
+{
+    json.key("workload").value(result.workloadSpec);
+    json.key("family").value(result.family);
+    json.key("backend").value(result.backendName);
+    json.key("machine").value(result.machine);
+    json.key("mitigation").value(result.mitigationName);
+    json.key("measured_qubits").value(result.measuredQubits);
+    json.key("shots").value(result.shots);
+    json.key("seed").value(result.seed);
 
     // Emitted only when set: non-degraded results keep their exact
     // historical byte layout (golden files, bit-identity replays).
-    if (degraded)
+    if (result.degraded)
         json.key("degraded").value(true);
 
-    if (workload && !workload->correctOutcomes.empty()) {
+    if (result.workload && !result.workload->correctOutcomes.empty()) {
         json.key("correct_outcomes").beginArray();
-        for (const auto outcome : workload->correctOutcomes)
-            json.value(common::toBitstring(outcome, measuredQubits));
+        for (const auto outcome : result.workload->correctOutcomes)
+            json.value(
+                common::toBitstring(outcome, result.measuredQubits));
         json.endArray();
     }
 
     json.key("timings").beginObject();
-    for (const auto &timing : timings)
+    for (const auto &timing : result.timings)
         json.key(timing.stage).value(timing.seconds);
-    json.key("total").value(totalSeconds());
+    json.key("total").value(result.totalSeconds());
     json.endObject();
 
+    const core::HammerStats &hammer = result.hammerStats;
     json.key("hammer_stats").beginObject();
     json.key("unique_outcomes")
-        .value(static_cast<std::uint64_t>(hammerStats.uniqueOutcomes));
-    json.key("max_distance").value(hammerStats.maxDistance);
+        .value(static_cast<std::uint64_t>(hammer.uniqueOutcomes));
+    json.key("max_distance").value(hammer.maxDistance);
     json.key("pair_operations")
-        .value(static_cast<std::uint64_t>(hammerStats.pairOperations));
+        .value(static_cast<std::uint64_t>(hammer.pairOperations));
     json.endObject();
 
     json.key("metrics").beginObject();
-    json.key("pst_raw").value(pstRaw);
-    json.key("pst_mitigated").value(pstMitigated);
-    json.key("ist_raw").value(istRaw);
-    json.key("ist_mitigated").value(istMitigated);
-    json.key("ehd_raw").value(ehdRaw);
-    json.key("ehd_mitigated").value(ehdMitigated);
+    json.key("pst_raw").value(result.pstRaw);
+    json.key("pst_mitigated").value(result.pstMitigated);
+    json.key("ist_raw").value(result.istRaw);
+    json.key("ist_mitigated").value(result.istMitigated);
+    json.key("ehd_raw").value(result.ehdRaw);
+    json.key("ehd_mitigated").value(result.ehdMitigated);
     json.endObject();
 
     json.key("histogram").beginObject();
     json.key("raw");
-    writeHistogramJson(json, raw, max_outcomes);
+    writeHistogramJson(json, result.raw, max_outcomes);
     json.key("mitigated");
-    writeHistogramJson(json, mitigated, max_outcomes);
+    writeHistogramJson(json, result.mitigated, max_outcomes);
     json.endObject();
 
     json.endObject();
-    out << json.str() << '\n';
+}
+
+/** Bytes Result::json is about to need: one allocation per line. */
+std::size_t
+jsonSizeHint(const Result &result)
+{
+    // {"outcome":"<bits>","probability":<up to 24 chars>}, per entry.
+    const std::size_t entries =
+        result.raw.support() + result.mitigated.support();
+    return 1024 + result.label.size() +
+           entries * (56 + static_cast<std::size_t>(
+                               result.raw.numBits()));
+}
+
+} // namespace
+
+void
+Result::writeJson(std::ostream &out, int max_outcomes) const
+{
+    out << json(max_outcomes);
 }
 
 std::string
 Result::json(int max_outcomes) const
 {
-    std::ostringstream out;
-    writeJson(out, max_outcomes);
-    return out.str();
+    JsonWriter json;
+    json.reserve(jsonSizeHint(*this));
+    json.beginObject();
+    json.key("label").value(label);
+    writeFieldsAfterLabel(json, *this, max_outcomes);
+    std::string line = json.take();
+    line += '\n';
+    return line;
+}
+
+std::string
+Result::jsonAfterLabel(int max_outcomes) const
+{
+    JsonWriter json;
+    json.reserve(jsonSizeHint(*this));
+    json.resumeObject();
+    writeFieldsAfterLabel(json, *this, max_outcomes);
+    std::string tail = json.take();
+    tail += '\n';
+    return tail;
+}
+
+std::string
+Result::jsonLine(const std::string &label, const std::string &afterLabel)
+{
+    static constexpr char kPrefix[] = "{\"label\":";
+    const std::string quoted = jsonQuote(label);
+    std::string line;
+    line.reserve(sizeof(kPrefix) + quoted.size() + afterLabel.size());
+    line += kPrefix;
+    line += quoted;
+    line += afterLabel;
+    return line;
 }
 
 // ---------------------------------------------------------------------------

@@ -147,8 +147,23 @@ struct Result
      */
     void writeJson(std::ostream &out, int max_outcomes = -1) const;
 
-    /** writeJson into a string. */
+    /** writeJson into a string (one line, '\n' included). */
     std::string json(int max_outcomes = -1) const;
+
+    /**
+     * json() without its leading `{"label":<label>`: every byte
+     * after the label field, '\n' included.  Nothing in it depends on
+     * the label, so one encoding serves every handle of one
+     * execution (ExecutionService::resultLine).
+     */
+    std::string jsonAfterLabel(int max_outcomes = -1) const;
+
+    /**
+     * The line json() gives for a result labelled @p label, from an
+     * encoding @p afterLabel made by jsonAfterLabel().
+     */
+    static std::string jsonLine(const std::string &label,
+                                const std::string &afterLabel);
 };
 
 /**

@@ -81,6 +81,21 @@ corruptDistribution(core::Distribution &dist)
     }
 }
 
+/**
+ * Deterministically corrupt one stored line encoding: one digit of
+ * its first probability moves by one (the bytes stay valid JSON, so
+ * only the checksum can tell).
+ */
+void
+corruptEncoding(std::string &encoding)
+{
+    const std::size_t at = encoding.find("\"probability\":");
+    if (at != std::string::npos)
+        encoding[at + 14] ^= 1; // '0' <-> '1', ..., '8' <-> '9'
+    else
+        encoding.front() ^= 1;
+}
+
 void
 appendField(std::string &key, const char *name,
             const std::string &value)
@@ -367,13 +382,41 @@ class ExecutionService::CacheThread
 // JobHandle
 // ---------------------------------------------------------------------------
 
+struct ExecutionService::Execution
+{
+    explicit Execution(Result value) : result(std::move(value)) {}
+
+    /** Labelled as its first submitter's; handles re-label copies. */
+    Result result;
+
+    /** CacheInsert fault key of the encoding (cached executions). */
+    std::optional<std::uint64_t> encodingFaultKey;
+
+    /** Guards the encoding memo below. */
+    mutable std::mutex encodeMutex;
+    /** result.jsonAfterLabel(), or null until a line is asked for. */
+    mutable std::shared_ptr<const std::string> encoding;
+    /** FNV of the genuine encoding bytes. */
+    mutable std::uint64_t encodingChecksum = 0;
+};
+
 struct ExecutionService::JobHandle::Job
 {
     std::uint64_t id = 0;
     std::string label;      ///< Spec label ("" = workload spec).
     bool fromCache = false; ///< Satisfied from the result LRU.
     double estimatedCost = 0.0; ///< Admission-time predicted seconds.
-    std::shared_future<Result> future;
+    std::shared_future<std::shared_ptr<const Execution>> future;
+
+    /**
+     * This handle's label: coalesced and cached jobs share a Result
+     * computed under some other handle's label, so re-derive it (the
+     * rule Pipeline::buildWorkload applies).
+     */
+    const std::string &labelFor(const Result &result) const
+    {
+        return label.empty() ? result.workloadSpec : label;
+    }
 };
 
 std::uint64_t
@@ -412,7 +455,7 @@ ExecutionService::ExecutionService(const Pipeline &pipeline,
 {
     if (options_.cacheCapacity > 0) {
         resultCache_ =
-            std::make_unique<common::LruCache<Checked<Result>>>(
+            std::make_unique<common::LruCache<Checked<Execution>>>(
                 options_.cacheCapacity);
         execCache_ =
             std::make_unique<common::LruCache<Checked<ExecOutcome>>>(
@@ -443,7 +486,7 @@ ExecutionService::budgetForLocked(const std::string &keyClass)
         .first->second;
 }
 
-std::shared_ptr<const Result>
+std::shared_ptr<const ExecutionService::Execution>
 ExecutionService::degradedSubstituteLocked(const ExperimentSpec &spec)
 {
     if (!resultCache_)
@@ -463,7 +506,7 @@ ExecutionService::degradedSubstituteLocked(const ExperimentSpec &spec)
     // slot, so every candidate re-verifies against the cache and
     // stale ones are pruned as they are found.
     std::vector<int> &budgets = indexed->second;
-    std::shared_ptr<const Result> best;
+    std::shared_ptr<const Execution> best;
     int bestBudget = 0;
     for (std::size_t i = 0; i < budgets.size();) {
         const int budget = budgets[i];
@@ -478,7 +521,7 @@ ExecutionService::degradedSubstituteLocked(const ExperimentSpec &spec)
         if (budget < spec.backendSpec.trajectories &&
             budget > bestBudget &&
             (!options_.verifyCache ||
-             resultChecksum(*hit->value) == hit->checksum)) {
+             resultChecksum(hit->value->result) == hit->checksum)) {
             best = hit->value;
             bestBudget = budget;
         }
@@ -590,10 +633,11 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
     // pool's) so the in-flight entry can be registered before the
     // pool sees the job: on a single-thread pool submit() runs the
     // job inline, and the epilogue must find its own entry to erase.
-    auto promise = std::make_shared<std::promise<Result>>();
+    auto promise = std::make_shared<
+        std::promise<std::shared_ptr<const Execution>>>();
 
-    std::shared_ptr<const Result> cached;
-    std::shared_ptr<const Result> degraded;
+    std::shared_ptr<const Execution> cached;
+    std::shared_ptr<const Execution> degraded;
     int registerDelayMillis = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -604,7 +648,8 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
                 // and the submit falls through to a recompute — a
                 // corrupt histogram is never handed out.
                 if (!options_.verifyCache ||
-                    resultChecksum(*hit->value) == hit->checksum) {
+                    resultChecksum(hit->value->result) ==
+                        hit->checksum) {
                     cached = hit->value;
                 } else {
                     ++stats_.cachePoisonDetected;
@@ -737,9 +782,10 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
             std::chrono::milliseconds(registerDelayMillis));
 
     if (cached) {
-        // The one per-hit Result copy, outside the service mutex.
-        std::promise<Result> ready;
-        ready.set_value(*cached);
+        // A hit shares the cached Execution: wait() copies the
+        // Result out, resultLine() reuses its encoding.
+        std::promise<std::shared_ptr<const Execution>> ready;
+        ready.set_value(std::move(cached));
         job->future = ready.get_future().share();
         return JobHandle(job);
     }
@@ -749,9 +795,9 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
         // cached lower-budget result, explicitly flagged.  It is
         // never silently substituted and never re-cached under the
         // requested key.
-        Result substitute = *degraded;
-        substitute.degraded = true;
-        std::promise<Result> ready;
+        auto substitute = std::make_shared<Execution>(degraded->result);
+        substitute->result.degraded = true;
+        std::promise<std::shared_ptr<const Execution>> ready;
         ready.set_value(std::move(substitute));
         job->future = ready.get_future().share();
         return JobHandle(job);
@@ -816,7 +862,8 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
                         ++stats_.retries;
                     }
                 }
-                publish(spec, fullKey, result, claim);
+                std::shared_ptr<const Execution> served =
+                    publish(spec, fullKey, std::move(result), claim);
                 bool drifted = false;
                 {
                     std::lock_guard<std::mutex> lock(mutex_);
@@ -842,7 +889,7 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
                               << options_.driftWindow
                               << " jobs — recalibrate "
                                  "(hammer_cli calibrate)\n";
-                promise->set_value(std::move(result));
+                promise->set_value(std::move(served));
             } catch (...) {
                 {
                     std::lock_guard<std::mutex> lock(mutex_);
@@ -866,26 +913,34 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
     return JobHandle(job);
 }
 
-void
+std::shared_ptr<const ExecutionService::Execution>
 ExecutionService::publish(const ExperimentSpec &spec,
                           const std::optional<std::string> &fullKey,
-                          const Result &result, ExecClaim &claim)
+                          Result result, ExecClaim &claim)
 {
-    const auto insert = [&] {
-        // The one per-job Result copy.  Checksummed from the genuine
+    std::shared_ptr<const Execution> served;
+    onCacheThread([&] {
+        // The one per-job Result copy, made here so the cache pins
+        // cache-thread memory only.  Checksummed from the genuine
         // value; a Poison fault corrupts only the stored copy
-        // afterwards, so the next hit's verification must catch it.
-        // A degraded result (remote backend's local fallback) is
+        // afterwards (the job's handles are then served the worker's
+        // genuine Result), so the next hit's verification must catch
+        // it.  A degraded result (remote backend's local fallback) is
         // never cached: the cache must only ever serve what the spec
         // actually asked for.
-        Checked<Result> entry;
+        Checked<Execution> entry;
         if (fullKey && resultCache_ && !result.degraded) {
-            auto copy = std::make_shared<Result>(result);
-            entry.checksum = resultChecksum(*copy);
+            auto copy = std::make_shared<Execution>(result);
+            entry.checksum = resultChecksum(copy->result);
             if (fault(common::FaultSite::CacheInsert,
                       common::fnv1a64(*fullKey))
-                    .kind == common::FaultAction::Kind::Poison)
-                corruptDistribution(copy->mitigated);
+                    .kind == common::FaultAction::Kind::Poison) {
+                corruptDistribution(copy->result.mitigated);
+            } else {
+                copy->encodingFaultKey =
+                    common::fnv1a64(*fullKey + "line|");
+                served = copy;
+            }
             entry.value = std::move(copy);
         }
         // The execution entry shares the cached Result's raw (Poison
@@ -897,7 +952,7 @@ ExecutionService::publish(const ExperimentSpec &spec,
             std::shared_ptr<const core::Distribution> raw =
                 entry.value
                     ? std::shared_ptr<const core::Distribution>(
-                          entry.value, &entry.value->raw)
+                          entry.value, &entry.value->result.raw)
                     : std::make_shared<const core::Distribution>(
                           result.raw);
             auto outcome = std::make_shared<ExecOutcome>(
@@ -943,12 +998,20 @@ ExecutionService::publish(const ExperimentSpec &spec,
                 budgets.end())
                 budgets.push_back(budget);
         }
-    };
-    if (cacheThread_)
-        cacheThread_->call(insert);
-    else
-        insert();
+    });
     claim.outcome.reset();
+    if (!served)
+        served = std::make_shared<const Execution>(std::move(result));
+    return served;
+}
+
+void
+ExecutionService::onCacheThread(const std::function<void()> &task) const
+{
+    if (cacheThread_)
+        cacheThread_->call(task);
+    else
+        task();
 }
 
 Result
@@ -1099,8 +1162,8 @@ ExecutionService::runJob(const ExperimentSpec &spec,
     return result;
 }
 
-Result
-ExecutionService::wait(const JobHandle &handle) const
+std::shared_ptr<const ExecutionService::Execution>
+ExecutionService::settled(const JobHandle &handle) const
 {
     require(handle.valid(), "ExecutionService: invalid job handle");
     // Help drain the queue instead of blocking outright: the pool
@@ -1111,13 +1174,57 @@ ExecutionService::wait(const JobHandle &handle) const
                std::future_status::ready &&
            pool_->tryRunOneJob()) {
     }
-    Result result = handle.job_->future.get();
-    // Labels are per-handle: coalesced and cached jobs share a
-    // Result computed under some other handle's label, so re-derive
-    // this handle's (the same rule Pipeline::buildWorkload applies).
-    result.label = handle.job_->label.empty() ? result.workloadSpec
-                                              : handle.job_->label;
+    return handle.job_->future.get();
+}
+
+Result
+ExecutionService::wait(const JobHandle &handle) const
+{
+    const std::shared_ptr<const Execution> execution = settled(handle);
+    Result result = execution->result;
+    result.label = handle.job_->labelFor(execution->result);
     return result;
+}
+
+std::string
+ExecutionService::resultLine(const JobHandle &handle) const
+{
+    const std::shared_ptr<const Execution> execution = settled(handle);
+    return Result::jsonLine(handle.job_->labelFor(execution->result),
+                            *encodingOf(*execution));
+}
+
+std::shared_ptr<const std::string>
+ExecutionService::encodingOf(const Execution &execution) const
+{
+    std::lock_guard<std::mutex> lock(execution.encodeMutex);
+    if (execution.encoding) {
+        if (!options_.verifyCache ||
+            common::fnv1a64(*execution.encoding) ==
+                execution.encodingChecksum)
+            return execution.encoding;
+        // Same rule as the cache checksums: a corrupt encoding is
+        // counted and recomputed, never served.
+        std::lock_guard<std::mutex> statsLock(mutex_);
+        ++stats_.cachePoisonDetected;
+    }
+    std::shared_ptr<const std::string> genuine;
+    onCacheThread([&] {
+        auto encoding = std::make_shared<const std::string>(
+            execution.result.jsonAfterLabel());
+        execution.encodingChecksum = common::fnv1a64(*encoding);
+        execution.encoding = encoding;
+        if (execution.encodingFaultKey &&
+            fault(common::FaultSite::CacheInsert,
+                  *execution.encodingFaultKey)
+                    .kind == common::FaultAction::Kind::Poison) {
+            auto corrupted = std::make_shared<std::string>(*encoding);
+            corruptEncoding(*corrupted);
+            execution.encoding = std::move(corrupted);
+        }
+        genuine = std::move(encoding);
+    });
+    return genuine;
 }
 
 std::optional<Result>
@@ -1148,10 +1255,7 @@ ExecutionService::waitFor(const JobHandle &handle,
             break;
         }
     }
-    Result result = handle.job_->future.get(); // rethrows job errors
-    result.label = handle.job_->label.empty() ? result.workloadSpec
-                                              : handle.job_->label;
-    return result;
+    return wait(handle); // ready: rethrows job errors, copies, labels
 }
 
 bool
@@ -1516,29 +1620,38 @@ metricField(const JsonValue &value)
     return value.asNumber();
 }
 
-/** One histogram array back into a Distribution. */
+/**
+ * One decoded histogram array back into a Distribution: one stable
+ * sort by outcome, then duplicate outcomes collapse to their last
+ * entry — what Distribution::set once per entry in document order
+ * gave, without its per-entry sorted insert.
+ */
 core::Distribution
-distributionFromJson(const JsonValue &array, int fallback_bits)
+distributionFromEntries(HistogramArray &array, int fallback_bits)
 {
-    require(array.isArray(), "result json: histogram must be an "
-                             "array");
+    require(array.decoded, "result json: histogram must be an array");
+    if (!array.error.empty())
+        common::fatal(array.error);
     // The writer renders outcomes at dist.numBits() width, so the
     // first entry's bitstring length is the width; an empty
     // histogram falls back to the measured-qubit count.
-    int num_bits = fallback_bits > 0 ? fallback_bits : 1;
-    if (!array.items().empty())
-        num_bits = static_cast<int>(
-            array.items().front().at("outcome").asString().size());
-    core::Distribution dist(num_bits);
-    for (const JsonValue &entry : array.items()) {
-        const std::string &outcome =
-            entry.at("outcome").asString();
-        require(static_cast<int>(outcome.size()) == num_bits,
-                "result json: ragged histogram outcome widths");
-        dist.set(common::fromBitstring(outcome),
-                 entry.at("probability").asNumber());
+    if (array.entries.empty())
+        return core::Distribution(fallback_bits > 0 ? fallback_bits : 1);
+    std::vector<core::Entry> &entries = array.entries;
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const core::Entry &a, const core::Entry &b) {
+                         return a.outcome < b.outcome;
+                     });
+    std::size_t kept = 0;
+    for (const core::Entry &entry : entries) {
+        if (kept > 0 && entries[kept - 1].outcome == entry.outcome)
+            entries[kept - 1] = entry;
+        else
+            entries[kept++] = entry;
     }
-    return dist;
+    entries.resize(kept);
+    return core::Distribution::fromSorted(array.width,
+                                          std::move(entries));
 }
 
 } // namespace
@@ -1546,7 +1659,8 @@ distributionFromJson(const JsonValue &array, int fallback_bits)
 Result
 resultFromJson(const std::string &json)
 {
-    const JsonValue doc = parseJson(json);
+    ResultHistograms histograms;
+    const JsonValue doc = parseResultJson(json, histograms);
     require(doc.isObject(), "result json: not an object");
 
     Result result;
@@ -1614,11 +1728,15 @@ resultFromJson(const std::string &json)
     result.ehdRaw = metricField(metrics.at("ehd_raw"));
     result.ehdMitigated = metricField(metrics.at("ehd_mitigated"));
 
+    // at() keeps the DOM's missing-key and not-an-object errors; the
+    // arrays themselves were decoded into histograms.
     const JsonValue &histogram = doc.at("histogram");
-    result.raw = distributionFromJson(histogram.at("raw"),
-                                      result.measuredQubits);
-    result.mitigated = distributionFromJson(
-        histogram.at("mitigated"), result.measuredQubits);
+    histogram.at("raw");
+    result.raw = distributionFromEntries(histograms.raw,
+                                         result.measuredQubits);
+    histogram.at("mitigated");
+    result.mitigated = distributionFromEntries(histograms.mitigated,
+                                               result.measuredQubits);
     return result;
 }
 

@@ -500,6 +500,22 @@ class ExecutionService
     Result wait(const JobHandle &handle) const;
 
     /**
+     * Block like wait() and return @p handle's result line: the
+     * bytes of wait(handle).json(-1), '\n' included.
+     *
+     * Encode once: every handle one execution serves (coalesced
+     * handles, and cache hits of that execution) shares one
+     * encoding of the line after its "label" field
+     * (Result::jsonAfterLabel), made the first time any of them asks
+     * and prefixed here with this handle's label.  The encoding
+     * carries its own FNV checksum; with verifyCache on it is
+     * re-verified on every reuse, and a mismatch counts in
+     * cachePoisonDetected and re-encodes from the (verified) Result,
+     * so corrupt bytes are never served.
+     */
+    std::string resultLine(const JobHandle &handle) const;
+
+    /**
      * Deadline-bounded wait: like wait(), but gives up after
      * @p timeout and returns nullopt (counting a waitTimeouts stat)
      * instead of blocking forever on a stalled or wedged job.  Job
@@ -602,6 +618,13 @@ class ExecutionService
     class CacheThread;
 
     /**
+     * One execution's Result as every handle it serves shares it,
+     * plus its lazily made line encoding (see resultLine).  Defined
+     * in service.cpp.
+     */
+    struct Execution;
+
+    /**
      * One cache slot: the payload plus the FNV checksum computed
      * from the *genuine* value at insert time.  Verification on a
      * hit recomputes the payload's checksum and compares — the
@@ -620,14 +643,32 @@ class ExecutionService
                   std::uint64_t faultKey, ExecClaim &claim);
 
     /**
-     * Job-end cache insertion for a completed job: the cached Result
-     * copy, the execution outcome @p claim computed (its raw aliasing
-     * the cached Result's), both LRU puts and the in-flight entries'
-     * removal.  Runs on the cache thread when the caches exist.
+     * Job-end cache insertion for a completed job: the cached
+     * Execution (a copy of @p result made on the cache thread), the
+     * execution outcome @p claim computed (its raw aliasing the
+     * cached Result's), both LRU puts and the in-flight entries'
+     * removal.  Returns what the job's handles are served: the
+     * cached Execution itself, unless a Poison fault corrupted it or
+     * the result is not cacheable.
      */
-    void publish(const ExperimentSpec &spec,
-                 const std::optional<std::string> &fullKey,
-                 const Result &result, ExecClaim &claim);
+    std::shared_ptr<const Execution>
+    publish(const ExperimentSpec &spec,
+            const std::optional<std::string> &fullKey, Result result,
+            ExecClaim &claim);
+
+    /** Run @p task on the cache thread (inline when there is none). */
+    void onCacheThread(const std::function<void()> &task) const;
+
+    /** Wait out @p handle's job, helping drain; rethrows its error. */
+    std::shared_ptr<const Execution>
+    settled(const JobHandle &handle) const;
+
+    /**
+     * @p execution's line encoding after the label field: made once
+     * (on the cache thread), then verified on every reuse.
+     */
+    std::shared_ptr<const std::string>
+    encodingOf(const Execution &execution) const;
 
     /** Injector decision for one site visit (None when no injector). */
     common::FaultAction fault(common::FaultSite site,
@@ -644,7 +685,7 @@ class ExecutionService
      * a degraded substitute for @p spec, or nullptr.  Caller holds
      * mutex_.
      */
-    std::shared_ptr<const Result>
+    std::shared_ptr<const Execution>
     degradedSubstituteLocked(const ExperimentSpec &spec);
 
     /**
@@ -666,10 +707,11 @@ class ExecutionService
     // shared_ptr values: cached Results can be large (workload +
     // two histograms), so hits hand out a reference and the one
     // copy per job happens outside the service mutex.
-    std::unique_ptr<common::LruCache<Checked<Result>>> resultCache_;
+    std::unique_ptr<common::LruCache<Checked<Execution>>> resultCache_;
     std::unique_ptr<common::LruCache<Checked<ExecOutcome>>>
         execCache_;
-    std::unordered_map<std::string, std::shared_future<Result>>
+    std::unordered_map<std::string,
+                       std::shared_future<std::shared_ptr<const Execution>>>
         inflightJobs_;
     std::unordered_map<
         std::string,

@@ -208,7 +208,10 @@ ShardRouter::dispatchJob(std::uint64_t id)
             std::lock_guard<std::mutex> lock(mutex_);
             if (stopping_)
                 return;
-            Job &job = jobs_.at(id);
+            const auto it = jobs_.find(id);
+            if (it == jobs_.end())
+                return; // Resolved and released concurrently.
+            Job &job = it->second;
             if (job.state != Job::State::Pending ||
                 job.shard >= 0)
                 return; // Resolved or re-dispatched concurrently.
@@ -273,7 +276,10 @@ ShardRouter::dispatchJob(std::uint64_t id)
             if (!admitted) {
                 if (++breakerDenials >= n) {
                     std::lock_guard<std::mutex> lock(mutex_);
-                    Job &job = jobs_.at(id);
+                    const auto it = jobs_.find(id);
+                    if (it == jobs_.end())
+                        return;
+                    Job &job = it->second;
                     if (job.state != Job::State::Pending ||
                         job.shard >= 0)
                         return;
@@ -352,9 +358,11 @@ ShardRouter::dispatchJob(std::uint64_t id)
                 // resolve the job and let a waiter read stats()
                 // before the increment landed.
                 std::lock_guard<std::mutex> lock(mutex_);
-                Job &job = jobs_.at(id);
-                if (job.state != Job::State::Pending)
+                const auto it = jobs_.find(id);
+                if (it == jobs_.end() ||
+                    it->second.state != Job::State::Pending)
                     return;
+                Job &job = it->second;
                 job.shard = static_cast<int>(index);
                 ++stats_.dispatched;
             }
@@ -369,7 +377,9 @@ ShardRouter::dispatchJob(std::uint64_t id)
                 // re-route sweep cannot double-dispatch it, and
                 // roll back the optimistic dispatch count.
                 std::lock_guard<std::mutex> lock(mutex_);
-                jobs_.at(id).shard = -1;
+                const auto it = jobs_.find(id);
+                if (it != jobs_.end())
+                    it->second.shard = -1;
                 --stats_.dispatched;
             }
         }
@@ -526,7 +536,7 @@ void
 ShardRouter::handleJobFrame(std::size_t index, FrameType type,
                             const std::string &payload)
 {
-    const JobPayload parsed = parseJobPayload(payload);
+    JobPayload parsed = parseJobPayload(payload);
 
     // ShardRecv seam: a key sequence of (id, attempt) pairs, drawn
     // exactly once per response frame.
@@ -541,8 +551,11 @@ ShardRouter::handleJobFrame(std::size_t index, FrameType type,
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = jobs_.find(parsed.id);
-        if (it == jobs_.end())
+        if (it == jobs_.end()) {
+            // Released by wait(): nobody is left to take it.
+            ++stats_.lateReplies;
             return;
+        }
         Job &job = it->second;
         // Stale guards: only the response to the job's *latest*
         // dispatched attempt on *this* shard resolves it (attempt_
@@ -560,7 +573,7 @@ ShardRouter::handleJobFrame(std::size_t index, FrameType type,
             redispatch = true;
         } else if (type == FrameType::Result) {
             job.state = Job::State::Done;
-            job.resultJson = parsed.body;
+            job.resultJson = std::move(parsed.body);
             job.shard = -1;
             settleJobCost(job);
             ++stats_.resultsReceived;
@@ -591,17 +604,26 @@ std::string
 ShardRouter::wait(std::uint64_t id)
 {
     std::unique_lock<std::mutex> lock(mutex_);
+    auto it = jobs_.end();
     jobsCv_.wait(lock, [&] {
-        if (stopping_)
-            return true;
-        return jobs_.at(id).state != Job::State::Pending;
+        it = jobs_.find(id);
+        return stopping_ || it == jobs_.end() ||
+               it->second.state != Job::State::Pending;
     });
-    const Job &job = jobs_.at(id);
-    if (job.state == Job::State::Done)
-        return job.resultJson;
-    if (job.state == Job::State::Pending)
+    if (it == jobs_.end())
+        throw RouterError("job " + std::to_string(id) +
+                          (id < nextJobId_ ? " was already released"
+                                           : " was never submitted"));
+    if (it->second.state == Job::State::Pending)
         throw RouterError("router stopped while job " +
                           std::to_string(id) + " was pending");
+    // Release: the line moves out and the job leaves the table, so
+    // the router holds nothing for jobs already handed back.
+    Job job = std::move(it->second);
+    jobs_.erase(it);
+    lock.unlock();
+    if (job.state == Job::State::Done)
+        return std::move(job.resultJson);
     if (job.errorKind == "retry_budget")
         throw resil::RetryBudgetExhaustedError(
             "net::ShardRouter (job " + std::to_string(id) + ")",
@@ -682,7 +704,9 @@ RouterStats
 ShardRouter::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
+    RouterStats snapshot = stats_;
+    snapshot.jobsHeld = jobs_.size();
+    return snapshot;
 }
 
 void

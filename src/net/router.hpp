@@ -219,6 +219,15 @@ struct RouterStats
     std::uint64_t heartbeatsSent = 0;  ///< Probes written.
 
     /**
+     * Result/Error frames for a job wait() had already released
+     * (a late duplicate of a re-dispatched job): dropped.
+     */
+    std::uint64_t lateReplies = 0;
+
+    /** Jobs in the table at snapshot time: submitted, not waited. */
+    std::uint64_t jobsHeld = 0;
+
+    /**
      * Never-seen exec keys whose home shard was steered off the pure
      * hash slot because the alternative candidate carried less
      * estimated pending cost (cost-aware admission at the fleet
@@ -279,11 +288,14 @@ class ShardRouter
 
     /**
      * Block until job @p id completes; returns the shard's verbatim
-     * Result::writeJson line.
+     * Result::writeJson line.  Waiting releases the job: its line is
+     * moved out and the router keeps nothing of it, so one id can be
+     * waited on once.
      *
      * @throws RemoteJobError when the shard answered with an Error
      *         frame; RouterError when dispatch attempts were
-     *         exhausted or the router was stopped.
+     *         exhausted, the router was stopped, or @p id was already
+     *         released (or never issued).
      */
     std::string wait(std::uint64_t id);
 

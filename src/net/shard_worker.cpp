@@ -153,11 +153,12 @@ ShardWorker::serveConnection(Socket &conn)
                     job.id, job.attempt, job.kind, job.message);
             } else {
                 try {
-                    const api::Result result =
-                        service_->wait(job.handle);
+                    // The execution's shared line encoding: a cache
+                    // hit costs a label splice, not a re-encode.
                     frame.type = FrameType::Result;
                     frame.payload = encodeJobPayload(
-                        job.id, job.attempt, result.json(-1));
+                        job.id, job.attempt,
+                        service_->resultLine(job.handle));
                 } catch (const api::WorkerLostError &error) {
                     frame.type = FrameType::Error;
                     frame.payload = encodeErrorPayload(

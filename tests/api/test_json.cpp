@@ -175,6 +175,18 @@ TEST(JsonParser, MalformedInputFuzzTable)
         {"0.0000000000000000000000001", true},
         {"1e", false},
         {"0x10", false},
+        // RFC 8259 grammar: no plus sign, leading zero, or bare
+        // decimal point on either side.
+        {"+1", false},
+        {"01", false},
+        {".5", false},
+        {"1.", false},
+        {"[-01]", false},
+        {"-", false},
+        {"1e+", false},
+        {"-0", true},
+        {"0.5e-3", true},
+        {"[0,-0.0,1E+2]", true},
         {"Infinity", false},
         {"NaN", false},
         // Duplicate keys are legal at the JSON layer (last wins is

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
@@ -35,6 +36,8 @@ using hammer::api::WorkerLostError;
 using hammer::chaos::FaultPlan;
 using hammer::chaos::FaultPlanOptions;
 using hammer::chaos::hostileSpecLines;
+using hammer::common::FaultAction;
+using hammer::common::FaultSite;
 using hammer::core::Distribution;
 
 /** The chaos acceptance deadline: typed answer or bust. */
@@ -204,6 +207,61 @@ TEST_P(ChaosService, DisabledVerificationServesThePoison)
     ASSERT_TRUE(poisoned.has_value());
     EXPECT_FALSE(identical(genuine->mitigated, poisoned->mitigated));
     EXPECT_EQ(service.stats().cachePoisonDetected, 0u);
+}
+
+/** Poisons every CacheInsert visit while armed, nothing else. */
+class ArmedPoison final : public hammer::common::FaultInjector
+{
+  public:
+    std::atomic<bool> armed{false};
+
+    FaultAction at(FaultSite site, std::uint64_t) override
+    {
+        if (site == FaultSite::CacheInsert && armed.load())
+            return {FaultAction::Kind::Poison, 0};
+        return FaultAction::none();
+    }
+};
+
+TEST_P(ChaosService, PoisonedLineEncodingIsDetectedAndReencoded)
+{
+    for (const bool verify : {true, false}) {
+        auto poison = std::make_shared<ArmedPoison>();
+        ExecutionServiceOptions options = optionsWith(nullptr);
+        options.faultInjector = poison;
+        options.verifyCache = verify;
+        ExecutionService service(options);
+
+        const ExperimentSpec spec = smallBvSpec(6);
+        const auto first = service.submit(spec);
+        const std::string genuine = service.wait(first).json(-1);
+
+        // The first line request makes the shared encoding, and the
+        // armed poison corrupts the stored copy; this caller still
+        // gets the genuine bytes it encoded.
+        poison->armed = true;
+        EXPECT_EQ(service.resultLine(first), genuine);
+        poison->armed = false;
+
+        // The next hit reuses the stored encoding.
+        const auto hit = service.submit(spec);
+        ASSERT_TRUE(hit.servedFromCache());
+        const std::string served = service.resultLine(hit);
+        if (verify) {
+            // Detected, counted, re-encoded: never served corrupt.
+            EXPECT_EQ(served, genuine);
+            EXPECT_EQ(service.stats().cachePoisonDetected, 1u);
+            EXPECT_EQ(service.resultLine(service.submit(spec)), genuine);
+            EXPECT_EQ(service.stats().cachePoisonDetected, 1u)
+                << "the re-encoded copy is genuine";
+        } else {
+            // Negative control: unverified, the corruption is served,
+            // so the detection above is not vacuous.
+            EXPECT_NE(served, genuine);
+            EXPECT_EQ(served.size(), genuine.size());
+            EXPECT_EQ(service.stats().cachePoisonDetected, 0u);
+        }
+    }
 }
 
 TEST_P(ChaosService, DroppedCoalescingStaysCorrect)

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -310,6 +312,104 @@ TEST(ShardRouterChaos, RealShardDeathMidCampaignReroutes)
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_EQ(got[i], expected[i]) << "line " << i;
+}
+
+TEST(ShardRouter, WaitReleasesEveryJob)
+{
+    Fleet fleet(2);
+    ShardRouterOptions options;
+    options.addresses = fleet.addresses();
+    ShardRouter router{options};
+
+    // Submit/wait pairs: nothing of a waited-on job stays behind.
+    for (int i = 0; i < 6; ++i) {
+        const std::uint64_t id = router.submit(
+            "bv:4,channel,128," + std::to_string(i % 3 + 1));
+        EXPECT_FALSE(router.wait(id).empty());
+        EXPECT_EQ(router.stats().jobsHeld, 0u);
+        // One id is waited on once; the second wait is typed.
+        EXPECT_THROW(router.wait(id), RouterError);
+    }
+
+    // A batch is held until each of its jobs is waited on.
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 8; ++i)
+        ids.push_back(router.submit("ghz:4,channel,128," +
+                                    std::to_string(i % 4 + 1)));
+    EXPECT_EQ(router.stats().jobsHeld, 8u);
+    for (const std::uint64_t id : ids)
+        router.wait(id);
+    EXPECT_EQ(router.stats().jobsHeld, 0u);
+
+    // Failed jobs are released too.
+    const std::uint64_t failing = router.submit("bv:4,nosuchbackend");
+    EXPECT_THROW(router.wait(failing), RemoteJobError);
+    EXPECT_EQ(router.stats().jobsHeld, 0u);
+    EXPECT_THROW(router.wait(failing), RouterError);
+
+    EXPECT_THROW(router.wait(1u << 20), RouterError); // never issued
+    EXPECT_EQ(router.stats().lateReplies, 0u);
+}
+
+TEST(ShardRouter, LateReplyForAReleasedJobIsDroppedAndCounted)
+{
+    char tmpl[] = "/tmp/hammer_net_XXXXXX";
+    const char *dir = ::mkdtemp(tmpl);
+    ASSERT_NE(dir, nullptr);
+    hammer::net::Listener listener(std::string("unix:") + dir +
+                                   "/late.sock");
+
+    // A scripted shard that answers each Submit twice: once at once,
+    // once more after the router released the job.
+    std::promise<void> released;
+    std::thread shard([&] {
+        hammer::net::Socket conn = listener.accept();
+        try {
+            while (auto frame = hammer::net::readFrame(conn)) {
+                if (frame->type != hammer::net::FrameType::Submit)
+                    continue;
+                const auto job =
+                    hammer::net::parseJobPayload(frame->payload);
+                const hammer::net::Frame reply{
+                    hammer::net::FrameType::Result,
+                    hammer::net::encodeJobPayload(
+                        job.id, job.attempt,
+                        hammer::api::Pipeline()
+                            .run(parseSpecLine(job.body).spec)
+                            .json(-1))};
+                hammer::net::writeFrame(conn, reply);
+                released.get_future().wait();
+                hammer::net::writeFrame(conn, reply);
+            }
+        } catch (const hammer::net::WireError &) {
+            // The router hung up.
+        }
+    });
+
+    {
+        ShardRouterOptions options;
+        options.addresses = {listener.address()};
+        ShardRouter router{options};
+        const std::uint64_t id = router.submit("bv:4,channel,128,1");
+        const std::string line = router.wait(id);
+        EXPECT_EQ(parseJson(line).at("workload").asString(), "bv:4");
+        released.set_value();
+
+        // The duplicate reaches a router that no longer holds the job:
+        // dropped, counted, and the reader carries on.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (router.stats().lateReplies == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        EXPECT_EQ(router.stats().lateReplies, 1u);
+        EXPECT_EQ(router.stats().resultsReceived, 1u);
+        EXPECT_EQ(router.stats().jobsHeld, 0u);
+        EXPECT_THROW(router.wait(id), RouterError);
+    }
+    shard.join();
+    listener.close();
+    ::rmdir(dir);
 }
 
 TEST(ShardRouter, ShutdownShardsDrainsTheFleet)

@@ -357,8 +357,8 @@ serve(std::istream &input, int threads, int top, int deadline_ms,
         // against a sharded run's --canonical output.
         for (std::size_t i = 0; i < handles.size(); ++i) {
             try {
-                const Result result = service.wait(handles[i]);
-                std::cout << canonicalResultJson(result.json(-1))
+                std::cout << canonicalResultJson(
+                                 service.resultLine(handles[i]))
                           << '\n';
             } catch (const std::exception &error) {
                 std::fprintf(stderr,
@@ -377,6 +377,16 @@ serve(std::istream &input, int threads, int top, int deadline_ms,
         return failures == 0 ? 0 : 1;
     }
 
+    // Full lines come from the service's shared line encoding (the
+    // one shards serve); --top trims the histograms instead.
+    const auto emitLine = [&](const ExecutionService::JobHandle &handle) {
+        if (top > 0)
+            service.wait(handle).writeJson(std::cout, top);
+        else
+            std::cout << service.resultLine(handle);
+        std::cout.flush();
+    };
+
     // Stream each result as soon as its job finishes (order follows
     // completion, not submission — this is a server, not a batch).
     std::vector<bool> emitted(handles.size(), false);
@@ -390,9 +400,7 @@ serve(std::istream &input, int threads, int top, int deadline_ms,
             --remaining;
             progressed = true;
             try {
-                const Result result = service.wait(handles[i]);
-                result.writeJson(std::cout, top > 0 ? top : -1);
-                std::cout.flush();
+                emitLine(handles[i]);
             } catch (const std::exception &error) {
                 std::fprintf(stderr,
                              "hammer_cli: --serve job %llu: %s\n",
@@ -416,9 +424,7 @@ serve(std::istream &input, int threads, int top, int deadline_ms,
                         handles[oldest],
                         std::chrono::milliseconds(deadline_ms));
                     if (result) {
-                        result->writeJson(std::cout,
-                                          top > 0 ? top : -1);
-                        std::cout.flush();
+                        emitLine(handles[oldest]);
                     } else {
                         std::fprintf(
                             stderr,
