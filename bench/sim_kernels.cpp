@@ -254,6 +254,16 @@ main()
     const std::vector<TierKernel> tier_kernels = {
         {"apply1q", 32.0, 2.0, 1.4,
          [&](StateVector &sv, int q) { sv.apply1q(h_mat, q); }},
+        // Qubits 0 and 1 put both members of a pair in one register;
+        // the tiers' pair split keeps them vectorised, so they answer
+        // to the dense-kernel floor.  SSE2 splits qubit 0 with two
+        // unpacks per register pair (1.3-1.9x scalar on a 4-core
+        // AVX-512 Xeon), hence its lower floor there; its qubit 1 is
+        // an ordinary full-vector walk.
+        {"apply1q_q0", 32.0, 2.0, 1.2,
+         [&](StateVector &sv, int) { sv.apply1q(h_mat, 0); }},
+        {"apply1q_q1", 32.0, 2.0, 1.4,
+         [&](StateVector &sv, int) { sv.apply1q(h_mat, 1); }},
         // Typically ~1.9-2.3x on AVX2 but bandwidth-bound, so a
         // descheduled run can dip past 1.6; the floor only needs to
         // catch a fall back to scalar (1.0x), not track the mean.

@@ -1,6 +1,7 @@
 #include "noise/replay.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.hpp"
 
@@ -60,6 +61,68 @@ applyPauliLane(sim::BatchedStateVector &batch, int lane, GateKind pauli,
     common::panic("ReplayEngine: error event is not a Pauli");
 }
 
+/** A Swap op exchanges two wires' storage bits; false otherwise. */
+bool
+relabel(std::vector<int> &layout, const sim::CompiledOp &op)
+{
+    if (op.kind != KernelKind::Swap)
+        return false;
+    std::swap(layout[static_cast<std::size_t>(op.q0)],
+              layout[static_cast<std::size_t>(op.q1)]);
+    return true;
+}
+
+/**
+ * Run source op @p op in bit map @p layout (wire -> storage bit): a
+ * Swap only relabels, anything else runs on the mapped bits.
+ */
+template <typename State>
+void
+applyMapped(State &state, const sim::CompiledOp &op,
+            std::vector<int> &layout)
+{
+    if (relabel(layout, op))
+        return;
+    sim::CompiledOp mapped = op;
+    mapped.q0 = layout[static_cast<std::size_t>(op.q0)];
+    if (op.q1 >= 0)
+        mapped.q1 = layout[static_cast<std::size_t>(op.q1)];
+    sim::applyOp(state, mapped);
+}
+
+/**
+ * Checkpoint interval from the memory budget: one dense state is 2^n
+ * amplitudes; place as many evenly-spaced checkpoints as fit (never
+ * after the last gate — the clean CDF covers that).
+ */
+std::size_t
+checkpointStride(std::size_t gates, int num_qubits,
+                 std::size_t budget_bytes)
+{
+    const std::size_t state_bytes =
+        (std::size_t{1} << num_qubits) * sizeof(sim::Amp);
+    const std::size_t max_checkpoints =
+        std::min(gates > 0 ? gates - 1 : 0, budget_bytes / state_bytes);
+    if (max_checkpoints == 0)
+        return gates + 1; // no checkpoints: replay from scratch
+    return std::max<std::size_t>(
+        1, (gates + max_checkpoints) / (max_checkpoints + 1));
+}
+
+/**
+ * The bit map the circuit's SWAPs take to the identity: walk the ops
+ * backwards from the identity, undoing each relabel.
+ */
+std::vector<int>
+startLayout(const sim::CompiledCircuit &ops)
+{
+    std::vector<int> layout(static_cast<std::size_t>(ops.numQubits()));
+    std::iota(layout.begin(), layout.end(), 0);
+    for (auto op = ops.ops().rbegin(); op != ops.ops().rend(); ++op)
+        relabel(layout, *op);
+    return layout;
+}
+
 } // namespace
 
 ReplayEngine::ReplayEngine(const sim::Circuit &circuit,
@@ -68,34 +131,39 @@ ReplayEngine::ReplayEngine(const sim::Circuit &circuit,
     : model_(model),
       ops_(sim::CompiledCircuit::compile(circuit, {.fuse1q = false})),
       batchLanes_(options.batchLanes),
-      final_(circuit.numQubits())
+      interval_(checkpointStride(ops_.ops().size(),
+                                 circuit.numQubits(),
+                                 options.checkpointBudgetBytes)),
+      layout0_(startLayout(ops_)),
+      clean_(cleanPass())
 {
     require(batchLanes_ >= 1,
             "ReplayEngine: batchLanes must be >= 1");
+}
+
+sim::OutcomeCdf
+ReplayEngine::cleanPass()
+{
+    // One clean pass, snapshotting along the way; it ends in wire
+    // order, where the CDF is read.
+    StateVector state(ops_.numQubits());
+    std::vector<int> layout = layout0_;
     const std::size_t gates = ops_.ops().size();
-
-    // Checkpoint interval from the memory budget: one dense state is
-    // 2^n amplitudes; place as many evenly-spaced checkpoints as fit
-    // (never after the last gate — the final state covers that).
-    const std::size_t state_bytes =
-        (std::size_t{1} << circuit.numQubits()) * sizeof(sim::Amp);
-    const std::size_t max_checkpoints = std::min(
-        gates > 0 ? gates - 1 : 0,
-        options.checkpointBudgetBytes / state_bytes);
-    if (max_checkpoints == 0) {
-        interval_ = gates + 1; // no checkpoints: replay from scratch
-    } else {
-        interval_ = std::max<std::size_t>(
-            1, (gates + max_checkpoints) / (max_checkpoints + 1));
-    }
-
-    // One clean pass, snapshotting along the way.
     for (std::size_t i = 0; i < gates; ++i) {
-        ops_.apply(final_, i, i + 1);
+        applyMapped(state, ops_.ops()[i], layout);
         if ((i + 1) % interval_ == 0 && i + 1 < gates)
-            checkpoints_.push_back(final_);
+            checkpoints_.push_back(state);
     }
-    finalNorm_ = final_.normSquared();
+    return sim::OutcomeCdf(state);
+}
+
+std::vector<int>
+ReplayEngine::layoutAt(std::size_t gate) const
+{
+    std::vector<int> layout = layout0_;
+    for (std::size_t i = 0; i < gate; ++i)
+        relabel(layout, ops_.ops()[i]);
+    return layout;
 }
 
 std::vector<ErrorEvent>
@@ -155,26 +223,27 @@ ReplayEngine::replay(const std::vector<ErrorEvent> &events) const
 {
     require(!events.empty(),
             "ReplayEngine::replay: zero-error trajectories are "
-            "served by cleanState()");
+            "served by cleanCdf()");
     const std::size_t gates = ops_.ops().size();
     const std::size_t start = replayStart(events);
 
     StateVector state = start == 0
         ? StateVector(ops_.numQubits())
         : checkpoints_[start / interval_ - 1];
+    std::vector<int> layout = layoutAt(start);
 
     // Errors firing exactly at the checkpoint boundary (after gate
     // start-1, the last gate the checkpoint already covers) are
     // injected before the loop resumes at gate `start`.
     auto event = events.begin();
     while (event != events.end() && event->gateIndex < start) {
-        applyPauli(state, event->pauli, event->qubit);
+        applyPauli(state, event->pauli, layout[event->qubit]);
         ++event;
     }
     for (std::size_t i = start; i < gates; ++i) {
-        ops_.apply(state, i, i + 1);
+        applyMapped(state, ops_.ops()[i], layout);
         while (event != events.end() && event->gateIndex == i) {
-            applyPauli(state, event->pauli, event->qubit);
+            applyPauli(state, event->pauli, layout[event->qubit]);
             ++event;
         }
     }
@@ -199,7 +268,7 @@ ReplayEngine::replayBatch(
     for (std::size_t g = 0; g < group.size(); ++g) {
         require(group[g] != nullptr && !group[g]->empty(),
                 "ReplayEngine::replayBatch: zero-error trajectories "
-                "are served by cleanState()");
+                "are served by cleanCdf()");
         own[g] = replayStart(*group[g]);
         require(own[g] >= start,
                 "ReplayEngine::replayBatch: trajectory starts before "
@@ -213,6 +282,7 @@ ReplayEngine::replayBatch(
     sim::BatchedStateVector batch(ops_.numQubits(), lanes);
     if (start != 0)
         batch.fillFrom(checkpoints_[start / interval_ - 1]);
+    std::vector<int> layout = layoutAt(start);
 
     // Per-lane cursor into that trajectory's ordered event list.
     std::vector<std::size_t> cursor(group.size(), 0);
@@ -231,11 +301,11 @@ ReplayEngine::replayBatch(
             while (cursor[g] < events.size() &&
                    events[cursor[g]].gateIndex < i) {
                 applyPauliLane(batch, g, events[cursor[g]].pauli,
-                               events[cursor[g]].qubit);
+                               layout[events[cursor[g]].qubit]);
                 ++cursor[g];
             }
         }
-        ops_.apply(batch, i, i + 1);
+        applyMapped(batch, ops_.ops()[i], layout);
         for (int g = 0; g < lanes; ++g) {
             if (i < own[static_cast<std::size_t>(g)])
                 continue;
@@ -243,7 +313,7 @@ ReplayEngine::replayBatch(
             while (cursor[g] < events.size() &&
                    events[cursor[g]].gateIndex == i) {
                 applyPauliLane(batch, g, events[cursor[g]].pauli,
-                               events[cursor[g]].qubit);
+                               layout[events[cursor[g]].qubit]);
                 ++cursor[g];
             }
         }

@@ -12,16 +12,26 @@
  *    draw-for-draw compatible with TrajectorySampler::noisyInstance,
  *    so trajectory t remains a pure function of the caller RNG
  *    state);
- *  - reusing the final clean state outright when no error fired (the
- *    common case at realistic p1q/p2q — zero gates simulated);
+ *  - sampling the clean state's outcome CDF, built once, when no
+ *    error fired (the common case at realistic p1q/p2q — zero gates
+ *    simulated, O(log 2^n) per shot);
  *  - otherwise copying the last checkpoint preceding the first error
  *    and replaying only the suffix, injecting errors as in-place
  *    X/Y/Z kernels instead of building a fresh Circuit.
  *
- * Replayed amplitudes are bit-identical to a from-scratch simulation
- * of the equivalent noisy circuit: the engine executes the same
- * unfused per-gate kernel stream either way, checkpoints included
- * (see tests/noise/test_replay_determinism.cpp).
+ * SWAP gates move no amplitudes.  The engine keeps a wire -> storage
+ * bit map; a Swap op only exchanges two entries, and every other op
+ * and every injected Pauli runs on the mapped bits.  The map starts
+ * at the permutation the circuit's SWAPs undo — |0...0> reads the
+ * same under any bit map — so every finished state, replayed or
+ * batched, ends in wire order with no gather.  Checkpoints are kept in
+ * the layout of their gate position.
+ *
+ * Replayed amplitudes are bit-identical to a from-scratch gate-by-gate
+ * simulation of the equivalent noisy circuit: each kernel applies the
+ * same per-amplitude formula to every pair, so where a pair sits in
+ * storage changes no rounding (see
+ * tests/noise/test_replay_determinism.cpp).
  */
 
 #ifndef HAMMER_NOISE_REPLAY_HPP
@@ -90,7 +100,7 @@ struct ReplayOptions
 struct ReplayStats
 {
     std::uint64_t trajectories = 0;
-    std::uint64_t zeroError = 0;     ///< Served by the clean state.
+    std::uint64_t zeroError = 0;     ///< Served by the clean CDF.
     std::uint64_t gatesFull = 0;     ///< From-scratch engine would run.
     std::uint64_t gatesReplayed = 0; ///< Actually run (incl. clean
                                      ///< pass + injected Paulis).
@@ -128,9 +138,10 @@ struct ReplayStats
 };
 
 /**
- * Per-circuit replay state: unfused compiled ops, checkpoints, final
- * clean state.  Immutable after construction, so one engine can serve
- * any number of concurrent trajectory workers.
+ * Per-circuit replay state: unfused compiled ops, the starting bit
+ * map, checkpoints and the clean outcome CDF.  Immutable after
+ * construction, so one engine can serve any number of concurrent
+ * trajectory workers.
  */
 class ReplayEngine
 {
@@ -148,11 +159,14 @@ class ReplayEngine
      */
     std::vector<ErrorEvent> drawErrors(common::Rng &rng) const;
 
-    /** Final state of the clean circuit (zero-error fast path). */
-    const sim::StateVector &cleanState() const { return final_; }
+    /**
+     * Outcome CDF of the clean circuit's final state (zero-error fast
+     * path): its sampleShots() matches sampling the clean state.
+     */
+    const sim::OutcomeCdf &cleanCdf() const { return clean_; }
 
-    /** normSquared() of cleanState(), accumulated once. */
-    double cleanNorm() const { return finalNorm_; }
+    /** Amplitudes per state (2^n). */
+    std::size_t dimension() const { return clean_.dimension(); }
 
     /**
      * First gate index the trajectory must simulate: the position of
@@ -165,6 +179,7 @@ class ReplayEngine
     /**
      * Simulate one trajectory: copy the checkpoint at replayStart()
      * and replay the remaining gates, injecting @p events in place.
+     * The result is in wire order.
      *
      * @pre events is non-empty and ordered by gateIndex (as
      *      drawErrors returns it).
@@ -182,7 +197,7 @@ class ReplayEngine
      * copying that checkpoint, because the batched kernels evaluate
      * the same per-lane formulas that produced it — and only then
      * start taking their error injections.  Lane g of the result is
-     * bit-identical to replay(*group[g]).
+     * in wire order and bit-identical to replay(*group[g]).
      *
      * @param start Earliest member checkpoint (a checkpoint boundary).
      * @param group One non-empty event list per lane, each ordered by
@@ -201,14 +216,24 @@ class ReplayEngine
     std::size_t checkpointCount() const { return checkpoints_.size(); }
 
   private:
+    /** Clean pass: fills checkpoints_, returns the final CDF. */
+    sim::OutcomeCdf cleanPass();
+
+    /** Wire -> storage bit, before gate @p gate. */
+    std::vector<int> layoutAt(std::size_t gate) const;
+
     NoiseModel model_;
     sim::CompiledCircuit ops_; ///< Unfused: op i == source gate i.
     int batchLanes_;           ///< Lane budget for replayBatch.
     std::size_t interval_;     ///< Gates between checkpoints.
-    /** checkpoints_[k] = state after the first (k+1)*interval_ gates. */
+    /** Bit map before gate 0: the SWAPs take it to the identity. */
+    std::vector<int> layout0_;
+    /**
+     * checkpoints_[k] = state after the first (k+1)*interval_ gates,
+     * in layoutAt((k+1)*interval_).
+     */
     std::vector<sim::StateVector> checkpoints_;
-    sim::StateVector final_;
-    double finalNorm_;
+    sim::OutcomeCdf clean_;
 };
 
 } // namespace hammer::noise

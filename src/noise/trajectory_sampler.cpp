@@ -90,8 +90,7 @@ runTrajectory(const ReplayEngine &engine,
     std::vector<Bits> raw;
     if (events.empty()) {
         ++stats.zeroError;
-        raw = engine.cleanState().sampleShots(rng, quota,
-                                              engine.cleanNorm());
+        raw = engine.cleanCdf().sampleShots(rng, quota);
     } else {
         stats.gatesReplayed +=
             (engine.numGates() - engine.replayStart(events)) +
@@ -155,7 +154,7 @@ struct PendingTrajectory
 
 /**
  * One deterministic work unit: either a single zero-error trajectory
- * (samples the shared clean state) or a group of noisy trajectories
+ * (samples the shared clean CDF) or a group of noisy trajectories
  * swept together from the earliest member's checkpoint (one batched
  * SoA pass, up to batchLanes lanes).  The item list depends only on
  * the pre-drawn events, never on scheduling, so any thread count
@@ -216,7 +215,7 @@ TrajectorySampler::sampleBatch(const circuits::RoutedCircuit &routed,
     const Rng master = rng.split();
 
     // The replay engine is immutable after construction: every
-    // worker reads the same checkpoints and clean state.
+    // worker reads the same checkpoints and clean CDF.
     const ReplayEngine engine(routed.circuit, model_, options_);
 
     ReplayStats stats;
@@ -285,7 +284,7 @@ TrajectorySampler::sampleBatch(const circuits::RoutedCircuit &routed,
         static_cast<std::size_t>(engine.batchLanes());
     const std::size_t gates = engine.numGates();
     const double overhead = options_.dispatchOverheadRows /
-        static_cast<double>(engine.cleanState().dimension());
+        static_cast<double>(engine.dimension());
     for (std::size_t at = 0; at < noisy.size();) {
         const std::size_t chunk_start = pending[noisy[at]].start;
         const std::size_t sweep = gates - chunk_start;
@@ -340,8 +339,7 @@ TrajectorySampler::sampleBatch(const circuits::RoutedCircuit &routed,
             if (item.clean) {
                 PendingTrajectory &p = pending[item.members[0]];
                 const std::vector<Bits> raw =
-                    engine.cleanState().sampleShots(
-                        p.stream, p.quota, engine.cleanNorm());
+                    engine.cleanCdf().sampleShots(p.stream, p.quota);
                 resolveShots(raw, routed, model_, mask, p.stream,
                              counts);
                 return;

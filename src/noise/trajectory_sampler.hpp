@@ -12,7 +12,7 @@
  *
  * Execution goes through the checkpointed replay engine
  * (noise::ReplayEngine): the clean circuit is simulated once per
- * sample() call, zero-error trajectories reuse the final clean state,
+ * sample() call, zero-error trajectories sample its one outcome CDF,
  * and noisy trajectories replay only from the checkpoint preceding
  * their first injected error.  Results are bit-identical to the
  * historical simulate-every-trajectory-from-scratch engine.
@@ -58,7 +58,7 @@ class TrajectorySampler : public NoisySampler
      * are then grouped into batches of up to
      * ReplayOptions::batchLanes lanes and swept through the gate
      * suffix in one SoA pass (ReplayEngine::replayBatch), while
-     * zero-error trajectories sample the shared clean state directly.
+     * zero-error trajectories sample the shared clean CDF directly.
      * The work-item list is deterministic and per-item results merge
      * through commutative integer counts, so the histogram is
      * bit-identical for every thread count AND every batch width.

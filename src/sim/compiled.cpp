@@ -172,14 +172,6 @@ CompiledCircuit::apply(StateVector &state, std::size_t begin,
         applyOp(state, ops_[i]);
 }
 
-void
-CompiledCircuit::apply(BatchedStateVector &batch, std::size_t begin,
-                       std::size_t end) const
-{
-    for (std::size_t i = begin; i < end; ++i)
-        applyOp(batch, ops_[i]);
-}
-
 StateVector
 CompiledCircuit::run() const
 {

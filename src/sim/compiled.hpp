@@ -112,21 +112,6 @@ class CompiledCircuit
         apply(state, 0, ops_.size());
     }
 
-    /**
-     * Apply ops [begin, end) to every lane of @p batch in order.
-     *
-     * One SoA sweep per op over all lanes; each lane's amplitudes end
-     * up bit-identical to the single-state apply() above.
-     */
-    void apply(BatchedStateVector &batch, std::size_t begin,
-               std::size_t end) const;
-
-    /** Apply every op to @p batch. */
-    void apply(BatchedStateVector &batch) const
-    {
-        apply(batch, 0, ops_.size());
-    }
-
     /** Run from |0...0> and return the final state. */
     StateVector run() const;
 

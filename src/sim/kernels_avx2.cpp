@@ -7,10 +7,10 @@
  * constant expression, so merely linking this TU executes no AVX2
  * instructions on older hosts.
  *
- * Only _mm256_mul_pd/add_pd/sub_pd/xor_pd are used — deliberately no
- * FMA even where the host has it, because contracted a*b+c rounds
- * once instead of twice and would break bit-identity with the scalar
- * tier.
+ * Only _mm256_mul_pd/add_pd/sub_pd/xor_pd do arithmetic —
+ * deliberately no FMA even where the host has it, because contracted
+ * a*b+c rounds once instead of twice and would break bit-identity
+ * with the scalar tier.  The low-mask pair split only moves lanes.
  */
 
 #if (defined(__x86_64__) || defined(_M_X64)) &&                        \
@@ -38,6 +38,23 @@ struct VAvx2
     static Reg neg(Reg a)
     {
         return _mm256_xor_pd(a, _mm256_set1_pd(-0.0));
+    }
+
+    // Low-mask pair split (kernels_generic.hpp), 8 amplitudes in
+    // (a, b).  Mask 1: unpacklo/hi take the even / odd lanes of each
+    // 128-bit half.  Mask 2: permute2f128 takes the low / high 128-bit
+    // halves.  Each is its own inverse.
+    static constexpr std::size_t pairSplitMasks = 1 | 2;
+    template <std::size_t M>
+    static void pairSplit(Reg a, Reg b, Reg &lo, Reg &hi)
+    {
+        if constexpr (M == 1) {
+            lo = _mm256_unpacklo_pd(a, b);
+            hi = _mm256_unpackhi_pd(a, b);
+        } else {
+            lo = _mm256_permute2f128_pd(a, b, 0x20);
+            hi = _mm256_permute2f128_pd(a, b, 0x31);
+        }
     }
 };
 

@@ -15,9 +15,12 @@
  *
  *  - 1q kernels walk the |0> half in half-space blocks
  *    (base += mask<<1, i in [base, base+mask)); the inner run is
- *    contiguous, so it vectorises when mask >= V::width and falls
- *    back to the identical scalar formulas below that (bit-identical:
- *    same operations, same order).
+ *    contiguous, so it vectorises when mask >= V::width.  Below that
+ *    a tier that declares a pair split (pairSplitMasks) regroups two
+ *    registers into |0> members and partners by shuffles alone;
+ *    otherwise the same formulas run one lane at a time.  Every walk
+ *    calls one per-lane body per kernel, so all are bit-identical:
+ *    same operations, same order.
  *  - 2q kernels enumerate the quarter space with both qubit bits
  *    clear via a hi/mid/lo triple loop whose innermost run is
  *    contiguous with length min(mask_a, mask_b) — same ascending
@@ -58,209 +61,294 @@ struct VScalar
 };
 
 // ---------------------------------------------------------------------------
-// Single-state kernels (planes of length dim)
+// Per-lane 1q formulas
+//
+// Each body updates one vector of pairs in place: a0 holds |0>
+// members, a1 their |1> partners, one register per component plane.
+// The single-state walks and the batched walks below all run these
+// same bodies, so every path performs the same IEEE-754 operations
+// per amplitude in the same order.
 // ---------------------------------------------------------------------------
 
+/** Dense 2x2: a0' = m00 a0 + m01 a1, a1' = m10 a0 + m11 a1. */
 template <typename V>
-inline void
-apply1qT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-         std::size_t dim, std::size_t mask,
-         const double *HAMMER_RESTRICT m)
+struct Dense1q
 {
-    const double m0r = m[0], m0i = m[1], m1r = m[2], m1i = m[3];
-    const double m2r = m[4], m2i = m[5], m3r = m[6], m3i = m[7];
-    if (mask >= V::width) {
-        const auto vm0r = V::set1(m0r), vm0i = V::set1(m0i);
-        const auto vm1r = V::set1(m1r), vm1i = V::set1(m1i);
-        const auto vm2r = V::set1(m2r), vm2i = V::set1(m2i);
-        const auto vm3r = V::set1(m3r), vm3i = V::set1(m3i);
-        for (std::size_t base = 0; base < dim; base += mask << 1) {
-            for (std::size_t i = base; i < base + mask;
-                 i += V::width) {
-                const std::size_t j = i | mask;
-                const auto a0r = V::load(re + i);
-                const auto a0i = V::load(im + i);
-                const auto a1r = V::load(re + j);
-                const auto a1i = V::load(im + j);
-                V::store(re + i,
-                         V::add(V::sub(V::mul(vm0r, a0r),
-                                       V::mul(vm0i, a0i)),
-                                V::sub(V::mul(vm1r, a1r),
-                                       V::mul(vm1i, a1i))));
-                V::store(im + i,
-                         V::add(V::add(V::mul(vm0r, a0i),
-                                       V::mul(vm0i, a0r)),
-                                V::add(V::mul(vm1r, a1i),
-                                       V::mul(vm1i, a1r))));
-                V::store(re + j,
-                         V::add(V::sub(V::mul(vm2r, a0r),
-                                       V::mul(vm2i, a0i)),
-                                V::sub(V::mul(vm3r, a1r),
-                                       V::mul(vm3i, a1i))));
-                V::store(im + j,
-                         V::add(V::add(V::mul(vm2r, a0i),
-                                       V::mul(vm2i, a0r)),
-                                V::add(V::mul(vm3r, a1i),
-                                       V::mul(vm3i, a1r))));
-            }
-        }
-        return;
+    using Reg = typename V::Reg;
+    Reg m0r, m0i, m1r, m1i, m2r, m2i, m3r, m3i;
+
+    explicit Dense1q(const double *HAMMER_RESTRICT m)
+        : m0r(V::set1(m[0])), m0i(V::set1(m[1])), m1r(V::set1(m[2])),
+          m1i(V::set1(m[3])), m2r(V::set1(m[4])), m2i(V::set1(m[5])),
+          m3r(V::set1(m[6])), m3i(V::set1(m[7]))
+    {
     }
-    // mask < vector width: the pair partner sits inside one register;
-    // run the identical formulas one lane at a time instead.
+
+    void operator()(Reg &a0r, Reg &a0i, Reg &a1r, Reg &a1i) const
+    {
+        const Reg r0 = V::add(V::sub(V::mul(m0r, a0r), V::mul(m0i, a0i)),
+                              V::sub(V::mul(m1r, a1r), V::mul(m1i, a1i)));
+        const Reg i0 = V::add(V::add(V::mul(m0r, a0i), V::mul(m0i, a0r)),
+                              V::add(V::mul(m1r, a1i), V::mul(m1i, a1r)));
+        const Reg r1 = V::add(V::sub(V::mul(m2r, a0r), V::mul(m2i, a0i)),
+                              V::sub(V::mul(m3r, a1r), V::mul(m3i, a1i)));
+        const Reg i1 = V::add(V::add(V::mul(m2r, a0i), V::mul(m2i, a0r)),
+                              V::add(V::mul(m3r, a1i), V::mul(m3i, a1r)));
+        a0r = r0;
+        a0i = i0;
+        a1r = r1;
+        a1i = i1;
+    }
+};
+
+/** diag(d0, d1): each member times its own entry. */
+template <typename V>
+struct Diag1q
+{
+    using Reg = typename V::Reg;
+    Reg d0r, d0i, d1r, d1i;
+
+    explicit Diag1q(const double *HAMMER_RESTRICT d)
+        : d0r(V::set1(d[0])), d0i(V::set1(d[1])), d1r(V::set1(d[2])),
+          d1i(V::set1(d[3]))
+    {
+    }
+
+    void operator()(Reg &a0r, Reg &a0i, Reg &a1r, Reg &a1i) const
+    {
+        const Reg r0 = V::sub(V::mul(d0r, a0r), V::mul(d0i, a0i));
+        const Reg i0 = V::add(V::mul(d0r, a0i), V::mul(d0i, a0r));
+        const Reg r1 = V::sub(V::mul(d1r, a1r), V::mul(d1i, a1i));
+        const Reg i1 = V::add(V::mul(d1r, a1i), V::mul(d1i, a1r));
+        a0r = r0;
+        a0i = i0;
+        a1r = r1;
+        a1i = i1;
+    }
+};
+
+/** diag(1, p): only the |1> member changes, so this body takes one. */
+template <typename V>
+struct Phase1q
+{
+    using Reg = typename V::Reg;
+    Reg pr, pi;
+
+    Phase1q(double p_re, double p_im) : pr(V::set1(p_re)), pi(V::set1(p_im))
+    {
+    }
+
+    void operator()(Reg &ar, Reg &ai) const
+    {
+        const Reg r = V::sub(V::mul(pr, ar), V::mul(pi, ai));
+        const Reg i = V::add(V::mul(pr, ai), V::mul(pi, ar));
+        ar = r;
+        ai = i;
+    }
+
+    /** Pair form for the split walk: a0 passes through unchanged. */
+    void operator()(Reg &, Reg &, Reg &a1r, Reg &a1i) const
+    {
+        (*this)(a1r, a1i);
+    }
+};
+
+/** Pauli X: the members trade places. */
+template <typename V>
+struct X1q
+{
+    using Reg = typename V::Reg;
+
+    void operator()(Reg &a0r, Reg &a0i, Reg &a1r, Reg &a1i) const
+    {
+        const Reg tr = a0r, ti = a0i;
+        a0r = a1r;
+        a0i = a1i;
+        a1r = tr;
+        a1i = ti;
+    }
+};
+
+/**
+ * Pauli Y = [[0, -i], [i, 0]]: a0' = -i*a1, a1' = i*a0 — component
+ * shuffles and sign flips, no multiplies.
+ */
+template <typename V>
+struct Y1q
+{
+    using Reg = typename V::Reg;
+
+    void operator()(Reg &a0r, Reg &a0i, Reg &a1r, Reg &a1i) const
+    {
+        const Reg r0 = a1i, i0 = V::neg(a1r);
+        const Reg r1 = V::neg(a0i), i1 = a0r;
+        a0r = r0;
+        a0i = i0;
+        a1r = r1;
+        a1i = i1;
+    }
+};
+
+// ---------------------------------------------------------------------------
+// Single-state 1q walks (planes of length dim)
+// ---------------------------------------------------------------------------
+
+/** mask >= W::width: vectors of |0> members, partners at +mask. */
+template <typename W, typename Body>
+inline void
+pairRuns(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
+         std::size_t dim, std::size_t mask, const Body body)
+{
     for (std::size_t base = 0; base < dim; base += mask << 1) {
-        for (std::size_t i = base; i < base + mask; ++i) {
+        for (std::size_t i = base; i < base + mask; i += W::width) {
             const std::size_t j = i | mask;
-            const double a0r = re[i], a0i = im[i];
-            const double a1r = re[j], a1i = im[j];
-            re[i] = (m0r * a0r - m0i * a0i) + (m1r * a1r - m1i * a1i);
-            im[i] = (m0r * a0i + m0i * a0r) + (m1r * a1i + m1i * a1r);
-            re[j] = (m2r * a0r - m2i * a0i) + (m3r * a1r - m3i * a1i);
-            im[j] = (m2r * a0i + m2i * a0r) + (m3r * a1i + m3i * a1r);
+            auto a0r = W::load(re + i);
+            auto a0i = W::load(im + i);
+            auto a1r = W::load(re + j);
+            auto a1i = W::load(im + j);
+            body(a0r, a0i, a1r, a1i);
+            W::store(re + i, a0r);
+            W::store(im + i, a0i);
+            W::store(re + j, a1r);
+            W::store(im + j, a1i);
         }
     }
 }
 
-template <typename V>
+/** Same shape over the |1> half only (phase kernels). */
+template <typename W, typename Body>
 inline void
-applyDiagT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-           std::size_t dim, std::size_t mask,
-           const double *HAMMER_RESTRICT d)
+halfRuns(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
+         std::size_t dim, std::size_t mask, const Body body)
 {
-    const double d0r = d[0], d0i = d[1], d1r = d[2], d1i = d[3];
-    if (mask >= V::width) {
-        const auto v0r = V::set1(d0r), v0i = V::set1(d0i);
-        const auto v1r = V::set1(d1r), v1i = V::set1(d1i);
-        for (std::size_t base = 0; base < dim; base += mask << 1) {
-            for (std::size_t i = base; i < base + mask;
-                 i += V::width) {
-                const std::size_t j = i | mask;
-                const auto a0r = V::load(re + i);
-                const auto a0i = V::load(im + i);
-                const auto a1r = V::load(re + j);
-                const auto a1i = V::load(im + j);
-                V::store(re + i, V::sub(V::mul(v0r, a0r),
-                                        V::mul(v0i, a0i)));
-                V::store(im + i, V::add(V::mul(v0r, a0i),
-                                        V::mul(v0i, a0r)));
-                V::store(re + j, V::sub(V::mul(v1r, a1r),
-                                        V::mul(v1i, a1i)));
-                V::store(im + j, V::add(V::mul(v1r, a1i),
-                                        V::mul(v1i, a1r)));
-            }
-        }
-        return;
-    }
-    for (std::size_t base = 0; base < dim; base += mask << 1) {
-        for (std::size_t i = base; i < base + mask; ++i) {
-            const std::size_t j = i | mask;
-            const double a0r = re[i], a0i = im[i];
-            const double a1r = re[j], a1i = im[j];
-            re[i] = d0r * a0r - d0i * a0i;
-            im[i] = d0r * a0i + d0i * a0r;
-            re[j] = d1r * a1r - d1i * a1i;
-            im[j] = d1r * a1i + d1i * a1r;
-        }
-    }
-}
-
-template <typename V>
-inline void
-applyPhaseT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-            std::size_t dim, std::size_t mask, double pr, double pi)
-{
-    // Only the |1> half carries the phase; the |0> half is untouched.
-    if (mask >= V::width) {
-        const auto vpr = V::set1(pr), vpi = V::set1(pi);
-        for (std::size_t base = mask; base < dim; base += mask << 1) {
-            for (std::size_t j = base; j < base + mask;
-                 j += V::width) {
-                const auto ar = V::load(re + j);
-                const auto ai = V::load(im + j);
-                V::store(re + j, V::sub(V::mul(vpr, ar),
-                                        V::mul(vpi, ai)));
-                V::store(im + j, V::add(V::mul(vpr, ai),
-                                        V::mul(vpi, ar)));
-            }
-        }
-        return;
-    }
     for (std::size_t base = mask; base < dim; base += mask << 1) {
-        for (std::size_t j = base; j < base + mask; ++j) {
-            const double ar = re[j], ai = im[j];
-            re[j] = pr * ar - pi * ai;
-            im[j] = pr * ai + pi * ar;
+        for (std::size_t j = base; j < base + mask; j += W::width) {
+            auto ar = W::load(re + j);
+            auto ai = W::load(im + j);
+            body(ar, ai);
+            W::store(re + j, ar);
+            W::store(im + j, ai);
         }
     }
 }
 
-template <typename V>
+/** One split walk over 2*width amplitudes per step (mask M). */
+template <typename V, std::size_t M, typename Body>
 inline void
-applyXT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-        std::size_t dim, std::size_t mask)
+splitRuns(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
+          std::size_t dim, const Body body)
+{
+    for (std::size_t i = 0; i < dim; i += 2 * V::width) {
+        typename V::Reg a0r, a1r, a0i, a1i, lo, hi;
+        V::template pairSplit<M>(V::load(re + i),
+                                 V::load(re + i + V::width), a0r, a1r);
+        V::template pairSplit<M>(V::load(im + i),
+                                 V::load(im + i + V::width), a0i, a1i);
+        body(a0r, a0i, a1r, a1i);
+        V::template pairSplit<M>(a0r, a1r, lo, hi);
+        V::store(re + i, lo);
+        V::store(re + i + V::width, hi);
+        V::template pairSplit<M>(a0i, a1i, lo, hi);
+        V::store(im + i, lo);
+        V::store(im + i + V::width, hi);
+    }
+}
+
+/**
+ * mask < V::width: both members of a pair sit in one register.  A
+ * tier opts in by declaring pairSplitMasks (the masks it handles) and
+ * pairSplit<M>(a, b, lo, hi): register shuffles that regroup the
+ * 2*width consecutive amplitudes in (a, b) into |0> members (lo) and
+ * their partners (hi), lane for lane.  The shuffle is its own
+ * inverse, so the same call puts the results back in index order.
+ * Returns false — the caller takes the scalar walk — when the tier
+ * has no split for @p mask or the state is narrower than two
+ * registers.
+ */
+template <typename V, typename Body>
+inline bool
+splitPairs([[maybe_unused]] double *HAMMER_RESTRICT re,
+           [[maybe_unused]] double *HAMMER_RESTRICT im,
+           [[maybe_unused]] std::size_t dim,
+           [[maybe_unused]] std::size_t mask,
+           [[maybe_unused]] const Body body)
+{
+    if constexpr (requires { V::pairSplitMasks; }) {
+        if (dim < 2 * V::width || (mask & V::pairSplitMasks) == 0)
+            return false;
+        if (mask == 1) {
+            splitRuns<V, 1>(re, im, dim, body);
+        } else if constexpr ((V::pairSplitMasks & 2) != 0) {
+            splitRuns<V, 2>(re, im, dim, body);
+        }
+        return true;
+    }
+    return false;
+}
+
+/**
+ * One 1q kernel over the three walks: full vectors when the pair
+ * stride allows, the tier's register split below that, and the
+ * identical formulas one lane at a time otherwise.
+ */
+template <typename V, template <typename> class Body, typename... Args>
+inline void
+pairKernel(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
+           std::size_t dim, std::size_t mask, const Args &...args)
 {
     if (mask >= V::width) {
-        for (std::size_t base = 0; base < dim; base += mask << 1) {
-            for (std::size_t i = base; i < base + mask;
-                 i += V::width) {
-                const std::size_t j = i | mask;
-                const auto a0r = V::load(re + i);
-                const auto a0i = V::load(im + i);
-                V::store(re + i, V::load(re + j));
-                V::store(im + i, V::load(im + j));
-                V::store(re + j, a0r);
-                V::store(im + j, a0i);
-            }
-        }
+        pairRuns<V>(re, im, dim, mask, Body<V>(args...));
         return;
     }
-    for (std::size_t base = 0; base < dim; base += mask << 1) {
-        for (std::size_t i = base; i < base + mask; ++i) {
-            const std::size_t j = i | mask;
-            const double tr = re[i], ti = im[i];
-            re[i] = re[j];
-            im[i] = im[j];
-            re[j] = tr;
-            im[j] = ti;
-        }
-    }
+    if (splitPairs<V>(re, im, dim, mask, Body<V>(args...)))
+        return;
+    pairRuns<VScalar>(re, im, dim, mask, Body<VScalar>(args...));
 }
 
 template <typename V>
 inline void
-applyYT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-        std::size_t dim, std::size_t mask)
+apply1qT(double *re, double *im, std::size_t dim, std::size_t mask,
+         const double *m)
 {
-    // Y = [[0, -i], [i, 0]]: a0' = -i*a1, a1' = i*a0 — component
-    // shuffles and sign flips, no multiplies.
+    pairKernel<V, Dense1q>(re, im, dim, mask, m);
+}
+
+template <typename V>
+inline void
+applyDiagT(double *re, double *im, std::size_t dim, std::size_t mask,
+           const double *d)
+{
+    pairKernel<V, Diag1q>(re, im, dim, mask, d);
+}
+
+template <typename V>
+inline void
+applyPhaseT(double *re, double *im, std::size_t dim, std::size_t mask,
+            double pr, double pi)
+{
+    // Only the |1> half carries the phase; the |0> half is untouched
+    // (the split walk moves it through registers unchanged).
     if (mask >= V::width) {
-        for (std::size_t base = 0; base < dim; base += mask << 1) {
-            for (std::size_t i = base; i < base + mask;
-                 i += V::width) {
-                const std::size_t j = i | mask;
-                const auto a0r = V::load(re + i);
-                const auto a0i = V::load(im + i);
-                const auto a1r = V::load(re + j);
-                const auto a1i = V::load(im + j);
-                V::store(re + i, a1i);
-                V::store(im + i, V::neg(a1r));
-                V::store(re + j, V::neg(a0i));
-                V::store(im + j, a0r);
-            }
-        }
+        halfRuns<V>(re, im, dim, mask, Phase1q<V>(pr, pi));
         return;
     }
-    for (std::size_t base = 0; base < dim; base += mask << 1) {
-        for (std::size_t i = base; i < base + mask; ++i) {
-            const std::size_t j = i | mask;
-            const double a0r = re[i], a0i = im[i];
-            const double a1r = re[j], a1i = im[j];
-            re[i] = a1i;
-            im[i] = -a1r;
-            re[j] = -a0i;
-            im[j] = a0r;
-        }
-    }
+    if (splitPairs<V>(re, im, dim, mask, Phase1q<V>(pr, pi)))
+        return;
+    halfRuns<VScalar>(re, im, dim, mask, Phase1q<VScalar>(pr, pi));
+}
+
+template <typename V>
+inline void
+applyXT(double *re, double *im, std::size_t dim, std::size_t mask)
+{
+    pairKernel<V, X1q>(re, im, dim, mask);
+}
+
+template <typename V>
+inline void
+applyYT(double *re, double *im, std::size_t dim, std::size_t mask)
+{
+    pairKernel<V, Y1q>(re, im, dim, mask);
 }
 
 /**
@@ -369,16 +457,13 @@ applySwapT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
 // lanes are zero-initialised and every kernel maps zero to zero.
 // ---------------------------------------------------------------------------
 
-template <typename V>
+/** Batched pair walk: the lane loop runs innermost, full vectors. */
+template <typename V, typename Body>
 inline void
-batch1qT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-         std::size_t dim, std::size_t mask, std::size_t stride,
-         const double *HAMMER_RESTRICT m)
+batchPairRuns(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
+              std::size_t dim, std::size_t mask, std::size_t stride,
+              const Body body)
 {
-    const auto vm0r = V::set1(m[0]), vm0i = V::set1(m[1]);
-    const auto vm1r = V::set1(m[2]), vm1i = V::set1(m[3]);
-    const auto vm2r = V::set1(m[4]), vm2i = V::set1(m[5]);
-    const auto vm3r = V::set1(m[6]), vm3i = V::set1(m[7]);
     for (std::size_t base = 0; base < dim; base += mask << 1) {
         for (std::size_t i = base; i < base + mask; ++i) {
             const std::size_t j = i | mask;
@@ -387,30 +472,15 @@ batch1qT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
             double *HAMMER_RESTRICT r1 = re + j * stride;
             double *HAMMER_RESTRICT c1 = im + j * stride;
             for (std::size_t s = 0; s < stride; s += V::width) {
-                const auto a0r = V::load(r0 + s);
-                const auto a0i = V::load(c0 + s);
-                const auto a1r = V::load(r1 + s);
-                const auto a1i = V::load(c1 + s);
-                V::store(r0 + s,
-                         V::add(V::sub(V::mul(vm0r, a0r),
-                                       V::mul(vm0i, a0i)),
-                                V::sub(V::mul(vm1r, a1r),
-                                       V::mul(vm1i, a1i))));
-                V::store(c0 + s,
-                         V::add(V::add(V::mul(vm0r, a0i),
-                                       V::mul(vm0i, a0r)),
-                                V::add(V::mul(vm1r, a1i),
-                                       V::mul(vm1i, a1r))));
-                V::store(r1 + s,
-                         V::add(V::sub(V::mul(vm2r, a0r),
-                                       V::mul(vm2i, a0i)),
-                                V::sub(V::mul(vm3r, a1r),
-                                       V::mul(vm3i, a1i))));
-                V::store(c1 + s,
-                         V::add(V::add(V::mul(vm2r, a0i),
-                                       V::mul(vm2i, a0r)),
-                                V::add(V::mul(vm3r, a1i),
-                                       V::mul(vm3i, a1r))));
+                auto a0r = V::load(r0 + s);
+                auto a0i = V::load(c0 + s);
+                auto a1r = V::load(r1 + s);
+                auto a1i = V::load(c1 + s);
+                body(a0r, a0i, a1r, a1i);
+                V::store(r0 + s, a0r);
+                V::store(c0 + s, a0i);
+                V::store(r1 + s, a1r);
+                V::store(c1 + s, a1i);
             }
         }
     }
@@ -418,35 +488,18 @@ batch1qT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
 
 template <typename V>
 inline void
-batchDiagT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-           std::size_t dim, std::size_t mask, std::size_t stride,
-           const double *HAMMER_RESTRICT d)
+batch1qT(double *re, double *im, std::size_t dim, std::size_t mask,
+         std::size_t stride, const double *m)
 {
-    const auto v0r = V::set1(d[0]), v0i = V::set1(d[1]);
-    const auto v1r = V::set1(d[2]), v1i = V::set1(d[3]);
-    for (std::size_t base = 0; base < dim; base += mask << 1) {
-        for (std::size_t i = base; i < base + mask; ++i) {
-            const std::size_t j = i | mask;
-            double *HAMMER_RESTRICT r0 = re + i * stride;
-            double *HAMMER_RESTRICT c0 = im + i * stride;
-            double *HAMMER_RESTRICT r1 = re + j * stride;
-            double *HAMMER_RESTRICT c1 = im + j * stride;
-            for (std::size_t s = 0; s < stride; s += V::width) {
-                const auto a0r = V::load(r0 + s);
-                const auto a0i = V::load(c0 + s);
-                const auto a1r = V::load(r1 + s);
-                const auto a1i = V::load(c1 + s);
-                V::store(r0 + s, V::sub(V::mul(v0r, a0r),
-                                        V::mul(v0i, a0i)));
-                V::store(c0 + s, V::add(V::mul(v0r, a0i),
-                                        V::mul(v0i, a0r)));
-                V::store(r1 + s, V::sub(V::mul(v1r, a1r),
-                                        V::mul(v1i, a1i)));
-                V::store(c1 + s, V::add(V::mul(v1r, a1i),
-                                        V::mul(v1i, a1r)));
-            }
-        }
-    }
+    batchPairRuns<V>(re, im, dim, mask, stride, Dense1q<V>(m));
+}
+
+template <typename V>
+inline void
+batchDiagT(double *re, double *im, std::size_t dim, std::size_t mask,
+           std::size_t stride, const double *d)
+{
+    batchPairRuns<V>(re, im, dim, mask, stride, Diag1q<V>(d));
 }
 
 template <typename V>
@@ -455,40 +508,15 @@ batchPhaseT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
             std::size_t dim, std::size_t mask, std::size_t stride,
             double pr, double pi)
 {
-    const auto vpr = V::set1(pr), vpi = V::set1(pi);
+    const Phase1q<V> phase(pr, pi);
     for (std::size_t base = mask; base < dim; base += mask << 1) {
         for (std::size_t j = base; j < base + mask; ++j) {
             double *HAMMER_RESTRICT r1 = re + j * stride;
             double *HAMMER_RESTRICT c1 = im + j * stride;
             for (std::size_t s = 0; s < stride; s += V::width) {
-                const auto ar = V::load(r1 + s);
-                const auto ai = V::load(c1 + s);
-                V::store(r1 + s, V::sub(V::mul(vpr, ar),
-                                        V::mul(vpi, ai)));
-                V::store(c1 + s, V::add(V::mul(vpr, ai),
-                                        V::mul(vpi, ar)));
-            }
-        }
-    }
-}
-
-template <typename V>
-inline void
-batchXT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-        std::size_t dim, std::size_t mask, std::size_t stride)
-{
-    for (std::size_t base = 0; base < dim; base += mask << 1) {
-        for (std::size_t i = base; i < base + mask; ++i) {
-            const std::size_t j = i | mask;
-            double *HAMMER_RESTRICT r0 = re + i * stride;
-            double *HAMMER_RESTRICT c0 = im + i * stride;
-            double *HAMMER_RESTRICT r1 = re + j * stride;
-            double *HAMMER_RESTRICT c1 = im + j * stride;
-            for (std::size_t s = 0; s < stride; s += V::width) {
-                const auto ar = V::load(r0 + s);
-                const auto ai = V::load(c0 + s);
-                V::store(r0 + s, V::load(r1 + s));
-                V::store(c0 + s, V::load(c1 + s));
+                auto ar = V::load(r1 + s);
+                auto ai = V::load(c1 + s);
+                phase(ar, ai);
                 V::store(r1 + s, ar);
                 V::store(c1 + s, ai);
             }
@@ -498,28 +526,18 @@ batchXT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
 
 template <typename V>
 inline void
-batchYT(double *HAMMER_RESTRICT re, double *HAMMER_RESTRICT im,
-        std::size_t dim, std::size_t mask, std::size_t stride)
+batchXT(double *re, double *im, std::size_t dim, std::size_t mask,
+        std::size_t stride)
 {
-    for (std::size_t base = 0; base < dim; base += mask << 1) {
-        for (std::size_t i = base; i < base + mask; ++i) {
-            const std::size_t j = i | mask;
-            double *HAMMER_RESTRICT r0 = re + i * stride;
-            double *HAMMER_RESTRICT c0 = im + i * stride;
-            double *HAMMER_RESTRICT r1 = re + j * stride;
-            double *HAMMER_RESTRICT c1 = im + j * stride;
-            for (std::size_t s = 0; s < stride; s += V::width) {
-                const auto a0r = V::load(r0 + s);
-                const auto a0i = V::load(c0 + s);
-                const auto a1r = V::load(r1 + s);
-                const auto a1i = V::load(c1 + s);
-                V::store(r0 + s, a1i);
-                V::store(c0 + s, V::neg(a1r));
-                V::store(r1 + s, V::neg(a0i));
-                V::store(c1 + s, a0r);
-            }
-        }
-    }
+    batchPairRuns<V>(re, im, dim, mask, stride, X1q<V>());
+}
+
+template <typename V>
+inline void
+batchYT(double *re, double *im, std::size_t dim, std::size_t mask,
+        std::size_t stride)
+{
+    batchPairRuns<V>(re, im, dim, mask, stride, Y1q<V>());
 }
 
 template <typename V>

@@ -3,9 +3,10 @@
  * SSE2 kernel tier: 2-wide double vectors.
  *
  * Compiled with -msse2 (baseline on x86-64, so this TU is always
- * callable there).  Only mul/add/sub/xor are used — no FMA, no
- * horizontal ops — so each lane performs exactly the scalar tier's
- * IEEE-754 operation sequence.
+ * callable there).  Only mul/add/sub/xor do arithmetic — no FMA, no
+ * horizontal ops; the low-mask pair split only moves lanes — so each
+ * lane performs exactly the scalar tier's IEEE-754 operation
+ * sequence.
  */
 
 #if (defined(__x86_64__) || defined(_M_X64)) &&                        \
@@ -33,6 +34,17 @@ struct VSse2
     static Reg neg(Reg a)
     {
         return _mm_xor_pd(a, _mm_set1_pd(-0.0));
+    }
+
+    // Low-mask pair split (kernels_generic.hpp), 4 amplitudes in
+    // (a, b): unpacklo/hi take the even / odd lanes.  Its own inverse.
+    static constexpr std::size_t pairSplitMasks = 1;
+    template <std::size_t M>
+    static void pairSplit(Reg a, Reg b, Reg &lo, Reg &hi)
+    {
+        static_assert(M == 1);
+        lo = _mm_unpacklo_pd(a, b);
+        hi = _mm_unpackhi_pd(a, b);
     }
 };
 

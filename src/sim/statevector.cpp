@@ -257,4 +257,35 @@ StateVector::sampleShots(common::Rng &rng, int shots,
     return out;
 }
 
+OutcomeCdf::OutcomeCdf(const StateVector &state)
+    : cdf_(state.dimension())
+{
+    const double *re = state.reData();
+    const double *im = state.imData();
+    double acc = 0.0;
+    for (std::size_t i = 0; i < cdf_.size(); ++i) {
+        acc += re[i] * re[i] + im[i] * im[i];
+        cdf_[i] = acc;
+    }
+}
+
+Bits
+OutcomeCdf::outcome(double r) const
+{
+    const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), r);
+    return it == cdf_.end() ? cdf_.size() - 1
+                            : static_cast<Bits>(it - cdf_.begin());
+}
+
+std::vector<Bits>
+OutcomeCdf::sampleShots(common::Rng &rng, int shots) const
+{
+    require(shots >= 0, "sampleShots: negative shot count");
+    const double norm_total = total();
+    std::vector<Bits> out(static_cast<std::size_t>(shots));
+    for (Bits &shot : out)
+        shot = outcome(rng.uniform() * norm_total);
+    return out;
+}
+
 } // namespace hammer::sim

@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -46,11 +48,14 @@ void
 expectStatesIdentical(const hammer::sim::StateVector &a,
                       const hammer::sim::StateVector &b)
 {
+    // Bit patterns, not ==: +0 and -0 must match too.
     ASSERT_EQ(a.dimension(), b.dimension());
     for (std::size_t i = 0; i < a.dimension(); ++i) {
-        ASSERT_EQ(a.amplitude(i).real(), b.amplitude(i).real())
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.amplitude(i).real()),
+                  std::bit_cast<std::uint64_t>(b.amplitude(i).real()))
             << "re at " << i;
-        ASSERT_EQ(a.amplitude(i).imag(), b.amplitude(i).imag())
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.amplitude(i).imag()),
+                  std::bit_cast<std::uint64_t>(b.amplitude(i).imag()))
             << "im at " << i;
     }
 }

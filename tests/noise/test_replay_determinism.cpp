@@ -6,7 +6,8 @@
  *  - ReplayEngine::drawErrors is RNG draw-for-draw compatible with
  *    TrajectorySampler::noisyInstance, and replaying a trajectory
  *    from a checkpoint is bit-identical to simulating its noisy
- *    circuit from scratch;
+ *    circuit from scratch — also on routed circuits, whose SWAPs the
+ *    engine relabels instead of executing;
  *  - TrajectorySampler::sample reproduces the historical
  *    build-a-circuit-per-trajectory engine bit-for-bit;
  *  - sample()/sampleBatch() determinism (thread-count invariance,
@@ -17,10 +18,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "circuits/bv.hpp"
+#include "circuits/coupling.hpp"
 #include "circuits/transpiler.hpp"
 #include "noise/readout.hpp"
 #include "noise/replay.hpp"
@@ -48,6 +54,45 @@ expectIdentical(const Distribution &a, const Distribution &b)
     for (const auto &e : a.entries())
         EXPECT_EQ(e.probability, b.probability(e.outcome))
             << "outcome " << e.outcome;
+}
+
+/**
+ * Assert @p got and @p want hold the same bits in every amplitude
+ * component: unlike ==, this tells +0 from -0 (and would match NaNs).
+ */
+void
+expectBitIdentical(const StateVector &got, const StateVector &want,
+                   const std::string &what)
+{
+    ASSERT_EQ(got.dimension(), want.dimension()) << what;
+    for (std::size_t i = 0; i < got.dimension(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.amplitude(i).real()),
+                  std::bit_cast<std::uint64_t>(want.amplitude(i).real()))
+            << what << ": re at index " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.amplitude(i).imag()),
+                  std::bit_cast<std::uint64_t>(want.amplitude(i).imag()))
+            << what << ": im at index " << i;
+    }
+}
+
+/**
+ * Reference: the trajectory's noisy circuit, simulated from |0> gate
+ * by gate, SWAPs moving amplitudes.
+ */
+StateVector
+resimulate(const Circuit &circuit, const std::vector<ErrorEvent> &events)
+{
+    StateVector full(circuit.numQubits());
+    auto event = events.begin();
+    const auto &gates = circuit.gates();
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+        full.applyGate(gates[i]);
+        while (event != events.end() && event->gateIndex == i) {
+            full.applyGate({event->pauli, event->qubit});
+            ++event;
+        }
+    }
+    return full;
 }
 
 /** A routed test circuit with 1q chains, rotations and 2q gates. */
@@ -125,33 +170,166 @@ TEST(ReplayEngine, ReplayBitIdenticalToFullResimulation)
                 continue;
             ++replayed;
 
-            // Reference: the trajectory's noisy circuit, simulated
-            // from |0> gate by gate.
-            StateVector full(routed.circuit.numQubits());
-            auto event = events.begin();
-            const auto &gates = routed.circuit.gates();
-            for (std::size_t i = 0; i < gates.size(); ++i) {
-                full.applyGate(gates[i]);
-                while (event != events.end() &&
-                       event->gateIndex == i) {
-                    full.applyGate({event->pauli, event->qubit});
-                    ++event;
-                }
-            }
-
-            const StateVector fast = engine.replay(events);
-            for (std::size_t i = 0; i < full.dimension(); ++i) {
-                EXPECT_EQ(fast.amplitude(i).real(),
-                          full.amplitude(i).real())
-                    << "budget " << budget << " seed " << seed
-                    << " index " << i;
-                EXPECT_EQ(fast.amplitude(i).imag(),
-                          full.amplitude(i).imag())
-                    << "budget " << budget << " seed " << seed
-                    << " index " << i;
-            }
+            expectBitIdentical(engine.replay(events),
+                               resimulate(routed.circuit, events),
+                               "budget " + std::to_string(budget) +
+                                   " seed " + std::to_string(seed));
         }
         EXPECT_GT(replayed, 0) << "model must produce errors";
+    }
+}
+
+/**
+ * A circuit transpiled onto a line device: BV plus rotations and
+ * long-range CZ/CX gates, so routing inserts many SWAPs, with 1q
+ * gates and 2q gates between and right after them.
+ */
+RoutedCircuit
+routedTestCircuit()
+{
+    Circuit c = bernsteinVazirani(6, 0b101101);
+    c.rz(0, 0.37).cz(0, 5).rx(6, -0.8).cx(1, 6).t(2).cz(3, 0);
+    c.ry(5, 1.1).cx(6, 2).s(4).cz(1, 5).h(0).cx(0, 4).rz(3, -1.3);
+    return transpile(c, CouplingMap::line(c.numQubits()));
+}
+
+/**
+ * Errors right after every SWAP, on both of its wires and on a wire
+ * it leaves alone, one event list per (swap, wire, Pauli).
+ */
+std::vector<std::vector<ErrorEvent>>
+errorsAfterEachSwap(const Circuit &circuit)
+{
+    std::vector<std::vector<ErrorEvent>> lists;
+    const GateKind paulis[] = {GateKind::X, GateKind::Y, GateKind::Z};
+    const auto &gates = circuit.gates();
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+        if (gates[i].kind != GateKind::Swap)
+            continue;
+        const int other =
+            (std::max(gates[i].q0, gates[i].q1) + 1) % circuit.numQubits();
+        for (const int wire : {gates[i].q0, gates[i].q1, other}) {
+            for (const GateKind pauli : paulis) {
+                std::vector<ErrorEvent> events{
+                    {static_cast<std::uint32_t>(i), pauli, wire}};
+                // A second, later error keeps the replay going past
+                // further SWAPs.
+                if (i + 3 < gates.size())
+                    events.push_back({static_cast<std::uint32_t>(i + 3),
+                                      GateKind::Y, gates[i].q0});
+                lists.push_back(std::move(events));
+            }
+        }
+    }
+    return lists;
+}
+
+TEST(ReplayEngine, RoutedReplayBitIdenticalToGateByGate)
+{
+    const RoutedCircuit routed = routedTestCircuit();
+    ASSERT_GE(routed.addedSwaps, 8) << "test needs a SWAP-heavy circuit";
+    const NoiseModel model{0.2, 0.3, 0.0, 0.0};
+    const auto &gates = routed.circuit.gates();
+    const std::size_t state_bytes =
+        (std::size_t{1} << routed.circuit.numQubits()) * sizeof(Amp);
+
+    // Errors right after each SWAP, then random draws (draws never
+    // depend on the checkpoint budget), each with its reference.
+    std::vector<std::vector<ErrorEvent>> lists =
+        errorsAfterEachSwap(routed.circuit);
+    const std::size_t afterSwap = lists.size();
+    const ReplayEngine drawer(routed.circuit, model, {0});
+    Rng rng(17);
+    while (lists.size() < afterSwap + 24) {
+        auto events = drawer.drawErrors(rng);
+        if (!events.empty())
+            lists.push_back(std::move(events));
+    }
+    std::vector<StateVector> refs;
+    for (const auto &events : lists)
+        refs.push_back(resimulate(routed.circuit, events));
+
+    // Every checkpoint count from none to one per gate, so each
+    // checkpoint interval the engine can pick is covered.
+    bool boundaryAfterSwap = false, midStreamAfterSwap = false;
+    for (std::size_t k = 0; k < gates.size(); ++k) {
+        const ReplayEngine engine(routed.circuit, model,
+                                  {k * state_bytes});
+        for (std::size_t l = 0; l < lists.size(); ++l) {
+            // A list from errorsAfterEachSwap starts right after a
+            // SWAP; when the replay resumes from a checkpoint just
+            // past that SWAP, its error is a boundary injection in a
+            // relabelled layout.
+            if (l < afterSwap) {
+                const std::size_t start = engine.replayStart(lists[l]);
+                if (start == lists[l].front().gateIndex + 1)
+                    boundaryAfterSwap = true;
+                else
+                    midStreamAfterSwap = true;
+            }
+            expectBitIdentical(engine.replay(lists[l]), refs[l],
+                               "budget " + std::to_string(k) +
+                                   " list " + std::to_string(l));
+        }
+    }
+    EXPECT_TRUE(boundaryAfterSwap);
+    EXPECT_TRUE(midStreamAfterSwap);
+}
+
+TEST(ReplayEngine, RoutedBatchLanesBitIdenticalToGateByGate)
+{
+    const RoutedCircuit routed = routedTestCircuit();
+    const NoiseModel model{0.2, 0.3, 0.0, 0.0};
+    const std::size_t state_bytes =
+        (std::size_t{1} << routed.circuit.numQubits()) * sizeof(Amp);
+
+    std::vector<std::vector<ErrorEvent>> lists =
+        errorsAfterEachSwap(routed.circuit);
+    // Draws never depend on the checkpoint budget.
+    const ReplayEngine drawer(routed.circuit, model, {0});
+    Rng rng(404);
+    while (lists.size() < 200) {
+        auto events = drawer.drawErrors(rng);
+        if (!events.empty())
+            lists.push_back(std::move(events));
+    }
+
+    std::map<const std::vector<ErrorEvent> *, StateVector> refs;
+    for (const auto &events : lists)
+        refs.emplace(&events, resimulate(routed.circuit, events));
+
+    for (const std::size_t budget :
+         {std::size_t{0}, state_bytes, 5 * state_bytes,
+          std::size_t{64} << 20}) {
+        const ReplayEngine engine(
+            routed.circuit, model,
+            ReplayOptions{.checkpointBudgetBytes = budget,
+                          .batchLanes = 5});
+        // Windows of lists sorted by replay start: lanes share a
+        // start or ride the clean prefix to a later one.
+        std::vector<const std::vector<ErrorEvent> *> order;
+        for (const auto &events : lists)
+            order.push_back(&events);
+        std::stable_sort(order.begin(), order.end(),
+                         [&](const auto *a, const auto *b) {
+                             return engine.replayStart(*a) <
+                                 engine.replayStart(*b);
+                         });
+        for (std::size_t at = 0; at < order.size(); at += 5) {
+            const std::vector<const std::vector<ErrorEvent> *> group(
+                order.begin() + static_cast<std::ptrdiff_t>(at),
+                order.begin() + static_cast<std::ptrdiff_t>(
+                                    std::min(order.size(), at + 5)));
+            const auto batch =
+                engine.replayBatch(engine.replayStart(*group[0]), group);
+            for (std::size_t g = 0; g < group.size(); ++g)
+                expectBitIdentical(
+                    batch.extractLane(static_cast<int>(g)),
+                    refs.at(group[g]),
+                    "budget " + std::to_string(budget) + " lane " +
+                        std::to_string(g) + " of window " +
+                        std::to_string(at));
+        }
     }
 }
 

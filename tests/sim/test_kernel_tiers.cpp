@@ -17,7 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -201,6 +204,85 @@ TEST(TierParity, SingleStateKernelsMatchScalarExactly)
                 runAllKernels(got, m, r);
             }
             expectBitIdentical(got, want, tierName(tier));
+        }
+    }
+}
+
+TEST(TierParity, LowMaskPairKernelsMatchScalarBitForBit)
+{
+    // Masks 1 and 2 put both members of a pair in one register; the
+    // wider tiers regroup registers by shuffles there (and fall back to
+    // scalar below two registers of state).  Every dim from 2 to 64,
+    // on raw planes followed by guard cells: a vector walk on a state
+    // narrower than two registers would rewrite the guards.
+    Rng rng(0x10F);
+    const Mat2 m = randomMat(rng);
+    const double mc[8] = {m[0].real(), m[0].imag(), m[1].real(),
+                          m[1].imag(), m[2].real(), m[2].imag(),
+                          m[3].real(), m[3].imag()};
+    const double dc[4] = {0.8, -0.1, -0.3, 0.95};
+    using Run = void (*)(const KernelTable &, double *, double *,
+                         std::size_t, std::size_t, const double *,
+                         const double *);
+    const std::vector<std::pair<const char *, Run>> kernels = {
+        {"apply1q",
+         [](const KernelTable &k, double *re, double *im, std::size_t dim,
+            std::size_t mask, const double *mat, const double *) {
+             k.apply1q(re, im, dim, mask, mat);
+         }},
+        {"diag",
+         [](const KernelTable &k, double *re, double *im, std::size_t dim,
+            std::size_t mask, const double *, const double *d) {
+             k.applyDiag(re, im, dim, mask, d);
+         }},
+        {"phase",
+         [](const KernelTable &k, double *re, double *im, std::size_t dim,
+            std::size_t mask, const double *, const double *) {
+             k.applyPhase(re, im, dim, mask, 0.6, -0.8);
+         }},
+        {"x",
+         [](const KernelTable &k, double *re, double *im, std::size_t dim,
+            std::size_t mask, const double *, const double *) {
+             k.applyX(re, im, dim, mask);
+         }},
+        {"y",
+         [](const KernelTable &k, double *re, double *im, std::size_t dim,
+            std::size_t mask, const double *, const double *) {
+             k.applyY(re, im, dim, mask);
+         }},
+    };
+    constexpr std::size_t kGuard = 8;
+    for (const KernelTier tier : supportedTiers()) {
+        const KernelTable &table = *kernelsForTier(tier);
+        for (std::size_t dim = 2; dim <= 64; dim *= 2) {
+            for (const std::size_t mask :
+                 {std::size_t{1}, std::size_t{2}}) {
+                if (mask >= dim)
+                    continue;
+                for (const auto &[name, run] : kernels) {
+                    std::vector<double> re(dim + kGuard), im(dim + kGuard);
+                    for (std::size_t i = 0; i < re.size(); ++i) {
+                        re[i] = rng.uniform(-1.0, 1.0);
+                        im[i] = rng.uniform(-1.0, 1.0);
+                    }
+                    std::vector<double> wantRe = re, wantIm = im;
+                    run(kScalarKernels, wantRe.data(), wantIm.data(), dim,
+                        mask, mc, dc);
+                    run(table, re.data(), im.data(), dim, mask, mc, dc);
+                    for (std::size_t i = 0; i < re.size(); ++i) {
+                        ASSERT_EQ(std::bit_cast<std::uint64_t>(re[i]),
+                                  std::bit_cast<std::uint64_t>(wantRe[i]))
+                            << tierName(tier) << " " << name << " dim "
+                            << dim << " mask " << mask << " re[" << i
+                            << "]" << (i >= dim ? " (guard)" : "");
+                        ASSERT_EQ(std::bit_cast<std::uint64_t>(im[i]),
+                                  std::bit_cast<std::uint64_t>(wantIm[i]))
+                            << tierName(tier) << " " << name << " dim "
+                            << dim << " mask " << mask << " im[" << i
+                            << "]" << (i >= dim ? " (guard)" : "");
+                    }
+                }
+            }
         }
     }
 }
