@@ -8,7 +8,11 @@
  * itself, isolated from circuit simulation: per-shot histogramming
  * into CountAccumulator vs a std::map histogram, HAMMER's O(N^2)
  * pair scans over flat sorted vectors vs a map-backed histogram, and
- * EHD scoring.  Emits BENCH_core.json in smoke mode so CI tracks the
+ * EHD scoring.  A second table times reconstruct() under every
+ * HAMMER kernel tier on one fixed histogram: any output that differs
+ * from the scalar tier is an error, and outside sanitizer builds the
+ * avx512 tier must run at least 1.5x faster than avx2 when the host
+ * runs both.  Emits BENCH_core.json in smoke mode so CI tracks the
  * speedups push over push.
  */
 
@@ -18,6 +22,7 @@
 #include <iostream>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -25,6 +30,7 @@
 #include "core/distribution.hpp"
 #include "core/ehd.hpp"
 #include "core/hammer.hpp"
+#include "core/hammer_kernels.hpp"
 #include "core/spectrum.hpp"
 #include "support/report.hpp"
 #include "support/workloads.hpp"
@@ -144,6 +150,97 @@ mapReconstruct(const Distribution &input)
     return out;
 }
 
+bool
+sameBits(const Distribution &a, const Distribution &b)
+{
+    if (a.support() != b.support())
+        return false;
+    for (std::size_t i = 0; i < a.support(); ++i) {
+        if (a.entries()[i].outcome != b.entries()[i].outcome ||
+            a.entries()[i].probability != b.entries()[i].probability)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * Single-thread reconstruct() under every supported tier that has
+ * HAMMER kernels of its own, on one fixed 13-bit histogram of 2048
+ * outcomes.  Returns false on a failed check or gate.
+ */
+bool
+benchKernelTiers(bench::BenchReport &report, common::Rng &rng)
+{
+    constexpr double kAvx512OverAvx2Floor = 1.5;
+    const Distribution dist = clusteredSupport(13, 2048, rng);
+    core::HammerConfig serial;
+    serial.threads = 1;
+
+    std::map<common::KernelTier, double> secs;
+    Distribution reference(dist.numBits());
+    bool identical = true;
+    common::Table table({"tier", "rec_ms", "x_scalar"});
+    for (const common::KernelTier tier : common::supportedTiers()) {
+        const core::HammerKernels *kernels =
+            core::hammerKernelsForTier(tier);
+        if (kernels->tier != tier)
+            continue; // runs a lower tier's kernels, timed there
+        core::setActiveHammerKernels(kernels);
+        // Best-of-5: the avx512 floor gates on these numbers.
+        double best = -1.0;
+        Distribution out(dist.numBits());
+        for (int pass = 0; pass < 5; ++pass) {
+            const auto start = std::chrono::steady_clock::now();
+            out = core::reconstruct(dist, serial);
+            const double t = secondsSince(start);
+            if (best < 0.0 || t < best)
+                best = t;
+        }
+        core::setActiveHammerKernels(nullptr);
+        secs[tier] = best;
+        if (tier == common::KernelTier::Scalar) {
+            reference = std::move(out);
+        } else if (!sameBits(out, reference)) {
+            std::printf("ERROR: reconstruct under the %s tier differs "
+                        "from the scalar tier\n",
+                        common::tierName(tier));
+            identical = false;
+        }
+        const double x = secs[common::KernelTier::Scalar] / best;
+        table.addRow({common::tierName(tier),
+                      common::Table::fmt(best * 1e3, 2),
+                      common::Table::fmt(x, 2)});
+        report.metric(std::string("reconstruct_s_") +
+                          common::tierName(tier),
+                      best);
+        report.metric(std::string("reconstruct_x_scalar_") +
+                          common::tierName(tier),
+                      x);
+    }
+    std::printf("\nreconstruct per HAMMER kernel tier (N=%zu, %d bits, "
+                "1 thread):\n",
+                dist.support(), dist.numBits());
+    table.print(std::cout);
+    if (!identical)
+        return false;
+
+    const auto avx2 = secs.find(common::KernelTier::Avx2);
+    const auto avx512 = secs.find(common::KernelTier::Avx512);
+    if (avx2 == secs.end() || avx512 == secs.end())
+        return true;
+    const double x = avx2->second / avx512->second;
+    report.metric("reconstruct_x_avx512_over_avx2", x);
+    if (HAMMER_BENCH_SANITIZED) {
+        std::puts("note: sanitizer build — avx512 floor disabled");
+    } else if (x < kAvx512OverAvx2Floor) {
+        std::printf("ERROR: avx512 reconstruct is only %.2fx avx2 "
+                    "(floor %.1fx)\n",
+                    x, kAvx512OverAvx2Floor);
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 int
@@ -259,5 +356,5 @@ main()
     std::puts("\nflat vs map: same histograms, same reconstruction, "
               "map-based baseline pays node allocation + pointer "
               "chasing on every hot-path scan");
-    return 0;
+    return benchKernelTiers(report, rng) ? 0 : 1;
 }

@@ -33,19 +33,6 @@
 #include "plan/cost_model.hpp"
 #include "support/report.hpp"
 
-// Sanitizer instrumentation slows backends unevenly (shadow-memory
-// traffic scales with loads/stores, not arithmetic), so the
-// auto-vs-best wall-clock gate is meaningless on those CI legs.
-#ifndef __has_feature
-#define __has_feature(x) 0
-#endif
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
-    __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define HAMMER_BENCH_SANITIZED 1
-#else
-#define HAMMER_BENCH_SANITIZED 0
-#endif
-
 namespace {
 
 using namespace hammer;

@@ -19,6 +19,20 @@
 #include <utility>
 #include <vector>
 
+// Sanitizer instrumentation slows code unevenly (shadow-memory
+// traffic scales with loads/stores, not arithmetic), so wall-clock
+// gates are meaningless on those CI legs; benches skip them when this
+// is 1.
+#ifndef __has_feature
+#define __has_feature(x) 0
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
+    __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define HAMMER_BENCH_SANITIZED 1
+#else
+#define HAMMER_BENCH_SANITIZED 0
+#endif
+
 namespace hammer::bench {
 
 /**

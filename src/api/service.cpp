@@ -21,6 +21,7 @@
 #include "api/json.hpp"
 #include "common/checksum.hpp"
 #include "common/logging.hpp"
+#include "core/hammer_kernels.hpp"
 #include "sim/kernels.hpp"
 
 namespace hammer::api {
@@ -1376,6 +1377,8 @@ serviceStatsJson(const ServiceStats &stats, int workers)
     json.key("type").value("service_stats");
     json.key("workers").value(workers);
     json.key("kernels").value(sim::tierName(sim::activeKernels().tier));
+    json.key("hammer_kernels")
+        .value(sim::tierName(core::activeHammerKernels().tier));
     json.key("submitted").value(stats.submitted);
     json.key("completed").value(stats.completed);
     json.key("coalesced").value(stats.coalesced);

@@ -32,6 +32,17 @@ hostRunsTier(KernelTier tier)
 #else
         return false;
 #endif
+    case KernelTier::Avx512:
+        // libgcc's and compiler-rt's probes also check that the OS
+        // saves the zmm and mask registers (XCR0).
+#if defined(HAMMER_HAVE_AVX512)
+        return __builtin_cpu_supports("avx512f") != 0 &&
+               __builtin_cpu_supports("avx512bw") != 0 &&
+               __builtin_cpu_supports("avx512vl") != 0 &&
+               __builtin_cpu_supports("avx512vpopcntdq") != 0;
+#else
+        return false;
+#endif
     case KernelTier::Neon:
         // Advanced SIMD is architecturally guaranteed on AArch64.
 #if defined(__aarch64__) && !defined(HAMMER_DISABLE_SIMD)
@@ -72,6 +83,8 @@ tierName(KernelTier tier)
         return "sse2";
     case KernelTier::Avx2:
         return "avx2";
+    case KernelTier::Avx512:
+        return "avx512";
     case KernelTier::Neon:
         return "neon";
     }
@@ -87,12 +100,30 @@ parseTier(const std::string &name, KernelTier &out)
         out = KernelTier::Sse2;
     } else if (name == "avx2") {
         out = KernelTier::Avx2;
+    } else if (name == "avx512") {
+        out = KernelTier::Avx512;
     } else if (name == "neon") {
         out = KernelTier::Neon;
     } else {
         return false;
     }
     return true;
+}
+
+KernelTier
+lowerTier(KernelTier tier)
+{
+    switch (tier) {
+    case KernelTier::Avx512:
+        return KernelTier::Avx2;
+    case KernelTier::Avx2:
+        return KernelTier::Sse2;
+    case KernelTier::Scalar:
+    case KernelTier::Sse2:
+    case KernelTier::Neon:
+        break;
+    }
+    return KernelTier::Scalar;
 }
 
 bool
@@ -105,6 +136,14 @@ tierCompiled(KernelTier tier)
     case KernelTier::Avx2:
 #if (defined(__x86_64__) || defined(_M_X64)) &&                        \
     !defined(HAMMER_DISABLE_SIMD)
+        return true;
+#else
+        return false;
+#endif
+    case KernelTier::Avx512:
+        // Only HAMMER's kernels have an AVX-512 file; it is compiled
+        // when the compiler takes its flags.
+#if defined(HAMMER_HAVE_AVX512)
         return true;
 #else
         return false;
@@ -129,8 +168,9 @@ std::vector<KernelTier>
 supportedTiers()
 {
     std::vector<KernelTier> tiers;
-    for (KernelTier tier : {KernelTier::Scalar, KernelTier::Sse2,
-                            KernelTier::Avx2, KernelTier::Neon}) {
+    for (KernelTier tier :
+         {KernelTier::Scalar, KernelTier::Sse2, KernelTier::Avx2,
+          KernelTier::Avx512, KernelTier::Neon}) {
         if (tierSupported(tier))
             tiers.push_back(tier);
     }

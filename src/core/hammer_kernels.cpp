@@ -59,12 +59,23 @@ hammerKernelsForTier(common::KernelTier tier)
 {
     if (!common::tierSupported(tier))
         return nullptr;
+    for (;; tier = common::lowerTier(tier)) {
+        switch (tier) {
+#if defined(HAMMER_HAVE_AVX512)
+        case common::KernelTier::Avx512:
+            return &kAvx512HammerKernels;
+#endif
 #if (defined(__x86_64__) || defined(_M_X64)) &&                        \
     !defined(HAMMER_DISABLE_SIMD)
-    if (tier == common::KernelTier::Avx2)
-        return &kAvx2HammerKernels;
+        case common::KernelTier::Avx2:
+            return &kAvx2HammerKernels;
 #endif
-    return &kScalarHammerKernels;
+        case common::KernelTier::Scalar:
+            return &kScalarHammerKernels;
+        default:
+            break;
+        }
+    }
 }
 
 const HammerKernels &

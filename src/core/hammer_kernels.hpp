@@ -14,25 +14,29 @@
  *              = sum_i P(i) * count_d(i)
  *
  *    so the per-pair floating-point adds of the textbook loop become
- *    integer counts (the AVX2 tier counts 32 outcomes per pass with
- *    byte compares), and the caller folds P(i) * count_d(i) into
- *    the chunk partial in a tier-independent order.  Every tier and
- *    thread count therefore gives the same bits; and when every
- *    probability is a multiple of 2^-k (any power-of-two shot count)
- *    both forms are exact, so they also match the textbook loop bit
- *    for bit.
+ *    integer counts (the AVX2 tier counts 32 outcomes per pass, the
+ *    AVX-512 tier 64, with byte compares), and the caller folds
+ *    P(i) * count_d(i) into the chunk partial in a tier-independent
+ *    order.  Every tier and thread count therefore gives the same
+ *    bits; and when every probability is a multiple of 2^-k (any
+ *    power-of-two shot count) both forms are exact, so they also
+ *    match the textbook loop bit for bit.
  *
  *  - scoreRows (Step 3): the neighbourhood score of a run of rows.
  *    Every tier adds each row's terms in ascending j onto the seed
  *    P(x), exactly like the scalar loop; the AVX2 tier rescores 8
- *    rows per pass with one lane per row, and turns filtered and
- *    diagonal terms into +0.0 additions.  Bit-identical across tiers
- *    on every input.
+ *    rows per pass and the AVX-512 tier 32, one lane per row, with
+ *    separate multiplies and adds (no FMA).  Diagonal terms are
+ *    +0.0 additions; filtered terms are +0.0 additions (AVX2) or
+ *    masked off (AVX-512).  Bit-identical across tiers on every
+ *    input.
  *
- * Two kernel files: a portable scalar one and an AVX2 one compiled
- * with -mavx2 -mpopcnt (flags on that file only).  The tier is
- * common::probedTier(); tiers without their own HAMMER kernels (SSE2,
- * NEON) run the scalar ones.
+ * Three kernel files: a portable scalar one, an AVX2 one compiled
+ * with -mavx2 -mpopcnt and an AVX-512 one compiled with -mavx512f
+ * -mavx512bw -mavx512vl -mavx512vpopcntdq (flags on each file only).
+ * The tier is common::probedTier(); a tier without its own HAMMER
+ * kernels runs those of the next lower tier (kernel_tier.hpp), so
+ * sse2 and neon run the scalar ones.
  */
 
 #ifndef HAMMER_CORE_HAMMER_KERNELS_HPP
@@ -52,7 +56,7 @@ inline constexpr std::size_t kDistanceBins = 65;
 /** One tier's HAMMER pair-scan kernels. */
 struct HammerKernels
 {
-    /** The tier these kernels were compiled for (Scalar or Avx2). */
+    /** The tier these kernels were compiled for. */
     common::KernelTier tier;
 
     /**
@@ -86,10 +90,14 @@ extern const HammerKernels kScalarHammerKernels;
     !defined(HAMMER_DISABLE_SIMD)
 extern const HammerKernels kAvx2HammerKernels;
 #endif
+#if defined(HAMMER_HAVE_AVX512)
+extern const HammerKernels kAvx512HammerKernels;
+#endif
 
 /**
- * The kernels @p tier runs (the scalar ones for tiers without their
- * own), or nullptr when the host cannot run @p tier.
+ * The kernels @p tier runs (for a tier without its own, those of the
+ * highest tier below it that has them), or nullptr when the host
+ * cannot run @p tier.
  */
 const HammerKernels *hammerKernelsForTier(common::KernelTier tier);
 

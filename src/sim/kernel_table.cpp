@@ -24,23 +24,27 @@ kernelsForTier(KernelTier tier)
 {
     if (!tierSupported(tier))
         return nullptr;
-    switch (tier) {
-    case KernelTier::Scalar:
-        return &kScalarKernels;
+    // A tier without its own table (avx512) runs the next lower
+    // tier's; the walk ends at scalar, which always has one.
+    for (;; tier = common::lowerTier(tier)) {
+        switch (tier) {
+        case KernelTier::Scalar:
+            return &kScalarKernels;
 #if !defined(HAMMER_DISABLE_SIMD)
 #if defined(__x86_64__) || defined(_M_X64)
-    case KernelTier::Sse2:
-        return &kSse2Kernels;
-    case KernelTier::Avx2:
-        return &kAvx2Kernels;
+        case KernelTier::Sse2:
+            return &kSse2Kernels;
+        case KernelTier::Avx2:
+            return &kAvx2Kernels;
 #endif
 #if defined(__aarch64__)
-    case KernelTier::Neon:
-        return &kNeonKernels;
+        case KernelTier::Neon:
+            return &kNeonKernels;
 #endif
 #endif // !HAMMER_DISABLE_SIMD
-    default:
-        return nullptr;
+        default:
+            break;
+        }
     }
 }
 

@@ -12,7 +12,9 @@
  *    target qubit (including qubit 0, where the single-state layout
  *    degrades to scalar pairs).
  *
- * One KernelTable per ISA tier (scalar / SSE2 / AVX2 / NEON).  All
+ * One KernelTable per ISA tier (scalar / SSE2 / AVX2 / NEON); the
+ * avx512 tier has no table of its own and runs AVX2's (the
+ * next-lower-tier rule of kernel_tier.hpp).  All
  * tiers instantiate the same templated per-lane formulas
  * (kernels_generic.hpp) over a 1/2/4-wide vector abstraction, so a
  * wider tier performs exactly the same IEEE-754 operations per
@@ -21,7 +23,7 @@
  * the build compiles with -ffp-contract=off).
  *
  * The active tier is common::probedTier(): probed once (CPUID) and
- * forced with HAMMER_KERNELS=scalar|sse2|avx2|neon for the parity
+ * forced with HAMMER_KERNELS=scalar|sse2|avx2|avx512|neon for the parity
  * test suite; forcing a tier the host cannot run is a hard error.
  */
 
@@ -127,7 +129,11 @@ extern const KernelTable kNeonKernels;
 #endif
 #endif // !HAMMER_DISABLE_SIMD
 
-/** Tier's kernel table, or nullptr when unsupported on this host. */
+/**
+ * The table @p tier runs: its own, or for a tier without one the
+ * highest table below it (common::lowerTier()); nullptr only when
+ * the host cannot run @p tier.
+ */
 const KernelTable *kernelsForTier(KernelTier tier);
 
 /**

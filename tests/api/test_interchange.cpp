@@ -35,7 +35,9 @@
 #include "common/bitops.hpp"
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
+#include "core/hammer_kernels.hpp"
 #include "sim/circuit.hpp"
+#include "sim/kernels.hpp"
 
 namespace {
 
@@ -143,6 +145,13 @@ TEST(ServiceStatsJson, IsOneParseableLineWithTheFullCounterSet)
     EXPECT_GE(stats.at("workers").asNumber(), 1.0);
     EXPECT_GT(stats.at("busy_seconds").asNumber(), 0.0);
     EXPECT_EQ(stats.at("shutdown_rejections").asNumber(), 0.0);
+    // Both dispatched tiers: they differ where a module has no
+    // kernels of its own for the probed tier (avx512 in sim).
+    EXPECT_EQ(stats.at("kernels").asString(),
+              hammer::sim::tierName(hammer::sim::activeKernels().tier));
+    EXPECT_EQ(stats.at("hammer_kernels").asString(),
+              hammer::common::tierName(
+                  hammer::core::activeHammerKernels().tier));
 }
 
 // ---------------------------------------------------------------------------

@@ -337,29 +337,41 @@ TEST(HammerKernels, ProbeFollowsTheEnvironment)
     const HammerKernels &active = activeHammerKernels();
     const KernelTier probed = hammer::common::probedTier();
     EXPECT_EQ(&active, hammerKernelsForTier(probed));
-    EXPECT_EQ(active.tier, probed == KernelTier::Avx2 ? KernelTier::Avx2
-                                                      : KernelTier::Scalar);
+    // avx512 and avx2 have HAMMER kernels of their own; sse2 and neon
+    // run the next lower tier's, the scalar ones.
+    EXPECT_EQ(active.tier,
+              probed == KernelTier::Avx512 || probed == KernelTier::Avx2
+                  ? probed
+                  : KernelTier::Scalar);
     if (const char *env = std::getenv("HAMMER_KERNELS");
         env != nullptr && *env != '\0') {
         EXPECT_STREQ(hammer::common::tierName(probed), env);
     }
     for (const KernelTier tier :
-         {KernelTier::Sse2, KernelTier::Avx2, KernelTier::Neon}) {
+         {KernelTier::Sse2, KernelTier::Avx2, KernelTier::Avx512,
+          KernelTier::Neon}) {
         if (!hammer::common::tierSupported(tier)) {
             EXPECT_EQ(hammerKernelsForTier(tier), nullptr);
         }
     }
+    for (const KernelTier tier : hammer::common::supportedTiers())
+        ASSERT_NE(hammerKernelsForTier(tier), nullptr)
+            << hammer::common::tierName(tier);
 }
 
 TEST(HammerKernels, CountDistancesMatchesPopcountOnEveryTier)
 {
     Rng rng(5);
     // Lengths around the AVX2 tier's 32-outcome pass and its 255-pass
-    // byte-counter fold (8160 outcomes), with every bin limit.
+    // byte-counter fold (8160 outcomes), and around the AVX-512
+    // tier's 64-outcome pass and its fold (255 x 64 = 16320), with
+    // every bin limit.
     for (const std::size_t count :
          {std::size_t{0}, std::size_t{1}, std::size_t{31},
-          std::size_t{32}, std::size_t{33}, std::size_t{100},
-          std::size_t{8160}, std::size_t{8191}, std::size_t{20000}}) {
+          std::size_t{32}, std::size_t{33}, std::size_t{63},
+          std::size_t{64}, std::size_t{65}, std::size_t{100},
+          std::size_t{8160}, std::size_t{8191}, std::size_t{16320},
+          std::size_t{16383}, std::size_t{16385}, std::size_t{20000}}) {
         const int n = static_cast<int>(1 + rng.uniformInt(64));
         std::vector<Bits> outcomes(count);
         for (Bits &y : outcomes)
@@ -398,6 +410,24 @@ TEST(HammerKernels, CountDistancesSurvivesOneBinOverflowingAByte)
     }
 }
 
+TEST(HammerKernels, CountDistancesSurvivesTwoFoldsOfOneBinOverflow)
+{
+    // 2 x 16320 + 7 copies of x: two full 255-pass folds of the
+    // AVX-512 tier's 64 byte lanes (each lane reaching 255 before it
+    // folds) plus a tail, all in bin 0.
+    const std::size_t count = 2 * 255 * 64 + 7;
+    const std::vector<Bits> same(count, Bits{0x0123456789abcdef});
+    for (const HammerKernels *kernels : supportedKernels()) {
+        std::uint64_t counts[3] = {7, 7, 7};
+        kernels->countDistances(Bits{0x0123456789abcdef}, same.data(),
+                                same.size(), 3, counts);
+        EXPECT_EQ(counts[0], count)
+            << hammer::common::tierName(kernels->tier);
+        EXPECT_EQ(counts[1], 0u) << hammer::common::tierName(kernels->tier);
+        EXPECT_EQ(counts[2], 0u) << hammer::common::tierName(kernels->tier);
+    }
+}
+
 TEST(HammerKernels, ScoreRowsMatchesScalarOnAnyRowRange)
 {
     const Distribution d = histogram(20, 300, Mass::Random, 11);
@@ -413,7 +443,10 @@ TEST(HammerKernels, ScoreRowsMatchesScalarOnAnyRowRange)
     for (const bool filter : {true, false}) {
         for (const auto &[first, last] :
              std::vector<std::pair<std::size_t, std::size_t>>{
-                 {0, 300}, {3, 4}, {5, 12}, {17, 81}, {299, 300}}) {
+                 {0, 300}, {3, 4}, {5, 12}, {17, 81}, {299, 300},
+                 // Across the AVX-512 tier's 32-row blocks, and a
+                 // short final block (37 = 32 + 5 rows).
+                 {0, 32}, {1, 33}, {31, 97}, {40, 77}}) {
             std::vector<double> want(last - first);
             kScalarHammerKernels.scoreRows(
                 outcomes.data(), probs.data(), outcomes.size(), first, last,
@@ -429,6 +462,57 @@ TEST(HammerKernels, ScoreRowsMatchesScalarOnAnyRowRange)
                         << " rows [" << first << ", " << last
                         << ") row " << first + r;
             }
+        }
+    }
+}
+
+TEST(HammerKernels, ScoreRowsWeightsBeyondFourteenMatchScalar)
+{
+    // Wide outcomes put distances all over 0..n.  Weights ending at
+    // 14 take the AVX-512 tier's table-lookup path (every distance
+    // clamped to 15 must read a zero weight); weights reaching 15 or
+    // 16 force its gather path.
+    std::uint64_t seed = 500;
+    for (const int n : {40, 52, 64}) {
+        const Distribution d = histogram(n, 150, Mass::Random, ++seed);
+        std::vector<Bits> outcomes;
+        std::vector<double> probs;
+        for (const Entry &e : d.entries()) {
+            outcomes.push_back(e.outcome);
+            probs.push_back(e.probability);
+        }
+        for (const std::size_t dmax :
+             {std::size_t{14}, std::size_t{15}, std::size_t{16}}) {
+            std::vector<double> weights(kDistanceBins, 0.0);
+            for (std::size_t k = 1; k <= dmax; ++k)
+                weights[k] = 1.0 / static_cast<double>(k + 2);
+            for (const bool filter : {true, false}) {
+                std::vector<double> want(outcomes.size());
+                kScalarHammerKernels.scoreRows(
+                    outcomes.data(), probs.data(), outcomes.size(), 0,
+                    outcomes.size(), weights.data(), filter, want.data());
+                for (const HammerKernels *kernels : supportedKernels()) {
+                    std::vector<double> got(outcomes.size(), -1.0);
+                    kernels->scoreRows(outcomes.data(), probs.data(),
+                                       outcomes.size(), 0,
+                                       outcomes.size(), weights.data(),
+                                       filter, got.data());
+                    for (std::size_t r = 0; r < got.size(); ++r)
+                        ASSERT_EQ(got[r], want[r])
+                            << hammer::common::tierName(kernels->tier)
+                            << " n=" << n << " dmax=" << dmax
+                            << " filter=" << filter << " row " << r;
+                }
+            }
+            // The same radius end to end, against the oracle too.
+            HammerConfig config;
+            config.maxDistance = static_cast<int>(dmax);
+            config.threads = 1;
+            checkAllTiers(d, config, Mass::Random,
+                          describe(n, outcomes.size(), Mass::Random,
+                                   config));
+            if (HasFatalFailure())
+                return;
         }
     }
 }

@@ -3,8 +3,8 @@
  * Cross-tier parity for the runtime-dispatched SIMD kernel table.
  *
  * The contract under test (the bit-identity invariant of the SoA
- * engine): every supported ISA tier — scalar, SSE2, AVX2, NEON —
- * produces EXACTLY the same amplitudes as the scalar reference for
+ * engine): every supported ISA tier — scalar, SSE2, AVX2, NEON, and
+ * avx512 through AVX2's table — produces EXACTLY the same amplitudes as the scalar reference for
  * every kernel, both single-state and batched, because all tiers
  * instantiate the same per-lane formulas and the build disables FMA
  * contraction.  EXPECT_EQ on doubles throughout; no tolerances.
@@ -133,14 +133,47 @@ TEST(KernelDispatch, TierNamesRoundTrip)
 {
     for (const KernelTier tier :
          {KernelTier::Scalar, KernelTier::Sse2, KernelTier::Avx2,
-          KernelTier::Neon}) {
+          KernelTier::Avx512, KernelTier::Neon}) {
         KernelTier parsed;
         ASSERT_TRUE(parseTier(tierName(tier), parsed));
         EXPECT_EQ(parsed, tier);
     }
     KernelTier parsed;
-    EXPECT_FALSE(parseTier("avx512", parsed));
+    EXPECT_FALSE(parseTier("avx1024", parsed));
+    EXPECT_FALSE(parseTier("AVX2", parsed));
     EXPECT_FALSE(parseTier("", parsed));
+}
+
+TEST(KernelDispatch, LowerTierWalksEachIsaFamilyDownToScalar)
+{
+    using hammer::common::lowerTier;
+    EXPECT_EQ(lowerTier(KernelTier::Avx512), KernelTier::Avx2);
+    EXPECT_EQ(lowerTier(KernelTier::Avx2), KernelTier::Sse2);
+    EXPECT_EQ(lowerTier(KernelTier::Sse2), KernelTier::Scalar);
+    EXPECT_EQ(lowerTier(KernelTier::Neon), KernelTier::Scalar);
+    EXPECT_EQ(lowerTier(KernelTier::Scalar), KernelTier::Scalar);
+}
+
+TEST(KernelDispatch, EverySupportedTierResolvesToATable)
+{
+    // A supported tier without a sim table of its own (avx512) runs
+    // the highest table below it; activeKernels() dereferences this.
+    for (const KernelTier tier : supportedTiers()) {
+        const KernelTable *table = kernelsForTier(tier);
+        ASSERT_NE(table, nullptr) << tierName(tier);
+        EXPECT_EQ(kernelsForTier(table->tier), table) << tierName(tier);
+        // Walk down from the tier: the table's tier must be the first
+        // one on the way that has a table of its own.
+        for (KernelTier t = tier; t != table->tier;
+             t = hammer::common::lowerTier(t)) {
+            ASSERT_NE(t, KernelTier::Scalar)
+                << tierName(tier) << " resolved to "
+                << tierName(table->tier) << ", which is not below it";
+            EXPECT_NE(kernelsForTier(t)->tier, t) << tierName(t);
+        }
+    }
+    EXPECT_EQ(&activeKernels(),
+              kernelsForTier(hammer::common::probedTier()));
 }
 
 TEST(KernelDispatch, TablesDeclareTheirTier)
@@ -148,7 +181,9 @@ TEST(KernelDispatch, TablesDeclareTheirTier)
     for (const KernelTier tier : supportedTiers()) {
         const KernelTable *table = kernelsForTier(tier);
         ASSERT_NE(table, nullptr);
-        EXPECT_EQ(table->tier, tier);
+        // avx512 has no sim table of its own: it runs AVX2's.
+        EXPECT_EQ(table->tier,
+                  tier == KernelTier::Avx512 ? KernelTier::Avx2 : tier);
         EXPECT_GE(table->lanes, 1);
         EXPECT_EQ(kBatchLaneMultiple %
                       static_cast<std::size_t>(table->lanes),
@@ -160,7 +195,8 @@ TEST(KernelDispatch, TablesDeclareTheirTier)
 TEST(KernelDispatch, UnsupportedTierHasNoTable)
 {
     for (const KernelTier tier :
-         {KernelTier::Sse2, KernelTier::Avx2, KernelTier::Neon}) {
+         {KernelTier::Sse2, KernelTier::Avx2, KernelTier::Avx512,
+          KernelTier::Neon}) {
         if (!tierSupported(tier)) {
             EXPECT_EQ(kernelsForTier(tier), nullptr);
         }

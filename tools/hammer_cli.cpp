@@ -96,6 +96,7 @@
 #include "api/autoplan.hpp"
 #include "common/thread_pool.hpp"
 #include "plan/cost_model.hpp"
+#include "core/hammer_kernels.hpp"
 #include "core/io.hpp"
 #include "net/router.hpp"
 #include "net/shard_worker.hpp"
@@ -190,7 +191,8 @@ usage(int exit_code)
         "  --list <what>     workloads | backends | mitigations\n"
         "diagnostics:\n"
         "  --kernels         print the dispatched simulation kernel "
-        "tier (ISA), vector and batch widths, and exit\n");
+        "tier (ISA), vector and batch widths, the HAMMER pair-scan "
+        "tier, and exit\n");
     std::exit(exit_code);
 }
 
@@ -235,9 +237,11 @@ emit(const hammer::api::Result &result, const std::string &format,
 }
 
 /**
- * --kernels: report the dispatched kernel tier.  The "supported
- * tiers" line is machine-parsed by tests/sim/run_tier_suite.sh to
- * decide whether a forced-tier parity leg runs or skips.
+ * --kernels: report the dispatched kernel tiers (the simulation
+ * table's and the HAMMER pair scans', which differ where a module has
+ * no kernels of its own for the probed tier).  The "supported tiers"
+ * line is machine-parsed by tests/sim/run_tier_suite.sh to decide
+ * whether a forced-tier parity leg runs or skips.
  */
 int
 printKernels()
@@ -248,6 +252,8 @@ printKernels()
     std::printf("vector width: %d doubles\n", active.lanes);
     std::printf("batch lane multiple: %d doubles\n",
                 static_cast<int>(sim::kBatchLaneMultiple));
+    std::printf("hammer kernels: %s\n",
+                sim::tierName(hammer::core::activeHammerKernels().tier));
     std::printf("supported tiers:");
     for (sim::KernelTier tier : sim::supportedTiers())
         std::printf(" %s", sim::tierName(tier));
