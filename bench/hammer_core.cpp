@@ -12,7 +12,12 @@
  * HAMMER kernel tier on one fixed histogram: any output that differs
  * from the scalar tier is an error, and outside sanitizer builds the
  * avx512 tier must run at least 1.5x faster than avx2 when the host
- * runs both.  Emits BENCH_core.json in smoke mode so CI tracks the
+ * runs both.  A third table times Step 1 alone by both algorithms —
+ * the pair scan on every tier and the Hamming-layer DP — on clustered
+ * 12-14 bit supports: any row whose counts differ from the scalar
+ * scan's is an error, and outside sanitizer builds the DP must run
+ * at least 3x faster than the avx512 scan at 14 bits and 6000
+ * outcomes.  Emits BENCH_core.json in smoke mode so CI tracks the
  * speedups push over push.
  */
 
@@ -241,6 +246,150 @@ benchKernelTiers(bench::BenchReport &report, common::Rng &rng)
     return true;
 }
 
+/** Row i's Step-1 counts, bins 0..dmax, row-major. */
+using RowCounts = std::vector<std::uint64_t>;
+
+/** Step 1 by the pair scan: every row's countDistances over all. */
+RowCounts
+scanCounts(const core::HammerKernels &kernels,
+           const std::vector<Bits> &outcomes, std::size_t bins)
+{
+    RowCounts counts(outcomes.size() * bins);
+    for (std::size_t i = 0; i < outcomes.size(); ++i)
+        kernels.countDistances(outcomes[i], outcomes.data(),
+                               outcomes.size(), bins,
+                               counts.data() + i * bins);
+    return counts;
+}
+
+/** Step 1 by the DP: countLayers, then every row read off the planes. */
+RowCounts
+layerCounts(const core::HammerKernels &kernels,
+            const std::vector<Bits> &outcomes, int num_bits,
+            std::size_t bins, std::vector<std::uint16_t> &planes)
+{
+    planes.resize(core::layerPlaneBytes(num_bits, bins) /
+                  sizeof(std::uint16_t));
+    kernels.countLayers(outcomes.data(), outcomes.size(), num_bits, bins,
+                        planes.data());
+    RowCounts counts(outcomes.size() * bins);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        for (std::size_t d = 0; d < bins; ++d)
+            counts[i * bins + d] = planes[(d << num_bits) + outcomes[i]];
+    }
+    return counts;
+}
+
+/**
+ * Step 1 alone, single thread, at HAMMER's default radius: the pair
+ * scan under every tier with kernels of its own, and the DP under the
+ * same tiers, on clustered supports at 12-14 bits.  Every row's counts
+ * must equal the scalar scan's.  Returns false on a failed check or
+ * gate.
+ */
+bool
+benchStep1(bench::BenchReport &report, common::Rng &rng)
+{
+    constexpr double kLayersOverAvx512ScanFloor = 3.0;
+    // A clustered n-bit support holds at most the strings within n/2
+    // of its key, so 6000 outcomes need 14 bits.
+    const std::vector<std::pair<int, std::size_t>> shapes = {
+        {12, 800}, {12, 2048}, {13, 800}, {13, 2048},
+        {14, 800}, {14, 2048}, {14, 6000}};
+    bool ok = true;
+    double gate_scan = 0.0;
+    double gate_layers = 0.0;
+    common::Table table(
+        {"bits", "N", "path", "step1_ms", "x_scan_avx512", "chosen"});
+    for (const auto &[num_bits, support] : shapes) {
+        const Distribution dist = clusteredSupport(num_bits, support, rng);
+        std::vector<Bits> outcomes;
+        for (const core::Entry &e : dist.entries())
+            outcomes.push_back(e.outcome);
+        const int dmax = core::defaultMaxDistance(num_bits);
+        const auto bins = static_cast<std::size_t>(dmax) + 1;
+        const bool chosen = core::preferLayers(num_bits, support, dmax, 1);
+        const RowCounts reference =
+            scanCounts(core::kScalarHammerKernels, outcomes, bins);
+
+        struct Row
+        {
+            std::string path;
+            double secs;
+        };
+        std::vector<Row> rows;
+        std::vector<std::uint16_t> planes;
+        double avx512_scan = 0.0;
+        for (const bool layers : {false, true}) {
+            for (const common::KernelTier tier : common::supportedTiers()) {
+                const core::HammerKernels *kernels =
+                    core::hammerKernelsForTier(tier);
+                if (kernels->tier != tier)
+                    continue; // runs a lower tier's kernels
+                const std::string path =
+                    std::string(layers ? "layers/" : "scan/") +
+                    common::tierName(tier);
+                double best = -1.0;
+                RowCounts counts;
+                for (int pass = 0; pass < 7; ++pass) {
+                    const auto start = std::chrono::steady_clock::now();
+                    counts = layers ? layerCounts(*kernels, outcomes,
+                                                  num_bits, bins, planes)
+                                    : scanCounts(*kernels, outcomes, bins);
+                    const double t = secondsSince(start);
+                    if (best < 0.0 || t < best)
+                        best = t;
+                }
+                if (counts != reference) {
+                    std::printf("ERROR: Step-1 counts of %s differ from "
+                                "the scalar scan (%d bits, N=%zu)\n",
+                                path.c_str(), num_bits, support);
+                    ok = false;
+                }
+                if (!layers && tier == common::KernelTier::Avx512)
+                    avx512_scan = best;
+                rows.push_back({path, best});
+                report.metric("step1_s_" + path + "_b" +
+                                  std::to_string(num_bits) + "_n" +
+                                  std::to_string(support),
+                              best);
+            }
+        }
+        for (const Row &row : rows) {
+            const bool layers = row.path.rfind("layers/", 0) == 0;
+            table.addRow(
+                {std::to_string(num_bits),
+                 common::Table::fmt(static_cast<long long>(support)),
+                 row.path, common::Table::fmt(row.secs * 1e3, 3),
+                 avx512_scan > 0.0
+                     ? common::Table::fmt(avx512_scan / row.secs, 2)
+                     : "-",
+                 layers == chosen ? "*" : ""});
+            if (num_bits == 14 && support == 6000 &&
+                row.path == "layers/avx512")
+                gate_layers = row.secs;
+        }
+        if (num_bits == 14 && support == 6000)
+            gate_scan = avx512_scan;
+    }
+    std::printf("\nStep 1 by path (default radius, 1 thread; * = the "
+                "path preferLayers picks):\n");
+    table.print(std::cout);
+    if (!ok || gate_scan <= 0.0 || gate_layers <= 0.0)
+        return ok;
+    const double x = gate_scan / gate_layers;
+    report.metric("step1_x_layers_over_avx512_scan_b14_n6000", x);
+    if (HAMMER_BENCH_SANITIZED) {
+        std::puts("note: sanitizer build — Step-1 DP floor disabled");
+    } else if (x < kLayersOverAvx512ScanFloor) {
+        std::printf("ERROR: the Step-1 DP is only %.2fx the avx512 scan "
+                    "at 14 bits, N=6000 (floor %.1fx)\n",
+                    x, kLayersOverAvx512ScanFloor);
+        return false;
+    }
+    return true;
+}
+
 } // namespace
 
 int
@@ -356,5 +505,7 @@ main()
     std::puts("\nflat vs map: same histograms, same reconstruction, "
               "map-based baseline pays node allocation + pointer "
               "chasing on every hot-path scan");
-    return benchKernelTiers(report, rng) ? 0 : 1;
+    const bool tiers_ok = benchKernelTiers(report, rng);
+    const bool step1_ok = benchStep1(report, rng);
+    return tiers_ok && step1_ok ? 0 : 1;
 }

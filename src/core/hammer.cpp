@@ -1,7 +1,10 @@
 #include "core/hammer.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
+#include <new>
 #include <span>
 
 #include "common/logging.hpp"
@@ -59,8 +62,8 @@ weightsFromChs(const std::vector<double> &chs, int num_bits,
     return weights;
 }
 
-/** Per-chunk partial of the Step-1 CHS aggregation. */
-struct ChsPartial
+/** Step 1's result: the aggregate CHS and its logical pair count. */
+struct Step1
 {
     std::vector<double> chs;
     std::uint64_t pairOps = 0;
@@ -72,18 +75,17 @@ struct ChsPartial
  * the chunk count, so the summed CHS is independent of which worker
  * produced which partial.
  */
-ChsPartial
-treeReduceChs(std::vector<ChsPartial> &parts)
+std::vector<double>
+treeReduceChs(std::vector<std::vector<double>> &parts)
 {
     require(!parts.empty(), "treeReduceChs: no parts");
     for (std::size_t stride = 1; stride < parts.size(); stride *= 2) {
         for (std::size_t i = 0; i + stride < parts.size();
              i += 2 * stride) {
-            ChsPartial &into = parts[i];
-            const ChsPartial &from = parts[i + stride];
-            for (std::size_t d = 0; d < into.chs.size(); ++d)
-                into.chs[d] += from.chs[d];
-            into.pairOps += from.pairOps;
+            std::vector<double> &into = parts[i];
+            const std::vector<double> &from = parts[i + stride];
+            for (std::size_t d = 0; d < into.size(); ++d)
+                into[d] += from[d];
         }
     }
     return std::move(parts[0]);
@@ -112,57 +114,160 @@ struct FlatSupport
 };
 
 /**
- * Step 1: the aggregate CHS (bins 0..dmax) by the counting identity
- * CHS_d = sum_i P(i) * count_d(i) (hammer_kernels.hpp).  Row i's
- * distance counts come from the countDistances kernel over the run
- * @p candidates(i) returns — a span of outcomes that holds x_i
- * itself and every outcome within dmax of it — so the counts of
- * bins 0..dmax, and with them the result, do not depend on how far
- * beyond dmax the run reaches.  Rows are folded in fixed 64-row
- * chunks reduced by treeReduceChs: bit-identical for every thread
- * count and kernel tier.
+ * Step 1's fold: the aggregate CHS (bins 0..dmax) by the counting
+ * identity CHS_d = sum_i P(i) * count_d(i) (hammer_kernels.hpp).
+ * @p rowCounts(i, counts) writes row i's exact counts of bins
+ * 1..dmax, by either Step-1 algorithm.  Rows are folded in fixed
+ * 64-row chunks reduced by treeReduceChs, so the CHS has the same
+ * bits for every algorithm, thread count and kernel tier.
  */
-template <typename Candidates>
-ChsPartial
-countChs(const FlatSupport &support, int dmax, int threads,
-         const Candidates &candidates)
+template <typename RowCounts>
+std::vector<double>
+foldChs(const FlatSupport &support, int dmax, int threads,
+        const RowCounts &rowCounts)
 {
-    const HammerKernels &kernels = activeHammerKernels();
     const std::size_t count = support.outcomes.size();
     const auto bins = static_cast<std::size_t>(dmax) + 1;
-    std::vector<ChsPartial> partials(
+    std::vector<std::vector<double>> partials(
         ThreadPool::chunkCount(count, kScanChunk));
     ThreadPool::runChunked(
         threads, count, kScanChunk,
         [&](std::size_t c, std::size_t begin, std::size_t end, int) {
-            ChsPartial &partial = partials[c];
-            partial.chs.assign(bins, 0.0);
+            std::vector<double> &partial = partials[c];
+            partial.assign(bins, 0.0);
             std::uint64_t counts[kDistanceBins];
             for (std::size_t i = begin; i < end; ++i) {
-                const std::span<const Bits> run = candidates(i);
-                kernels.countDistances(support.outcomes[i], run.data(),
-                                       run.size(), bins, counts);
+                rowCounts(i, counts);
                 const double px = support.probs[i];
                 // count_0(i) == 1: outcomes are distinct.
-                partial.chs[0] += px;
+                partial[0] += px;
                 for (std::size_t d = 1; d < bins; ++d)
-                    partial.chs[d] +=
-                        px * static_cast<double>(counts[d]);
-                partial.pairOps += run.size() - 1;
+                    partial[d] += px * static_cast<double>(counts[d]);
             }
         });
     if (partials.empty()) // empty support: all-zero CHS
-        return {std::vector<double>(bins, 0.0), 0};
+        return std::vector<double>(bins, 0.0);
     return treeReduceChs(partials);
 }
 
-/** Step 1 over the whole support (the exhaustive O(N^2) scan). */
-ChsPartial
-countChsExhaustive(const FlatSupport &support, int dmax, int threads)
+/**
+ * Step 1 by the pair scan: row i's counts come from countDistances
+ * over the run @p candidates(i) returns — a span of outcomes that
+ * holds x_i itself and every outcome within dmax of it — so the
+ * counts of bins 0..dmax do not depend on how far beyond dmax the
+ * run reaches.
+ */
+template <typename Candidates>
+std::vector<double>
+chsByScan(const FlatSupport &support, int dmax, int threads,
+          const Candidates &candidates)
 {
-    const std::span<const Bits> all(support.outcomes);
-    return countChs(support, dmax, threads,
-                    [&](std::size_t) { return all; });
+    const HammerKernels &kernels = activeHammerKernels();
+    const auto bins = static_cast<std::size_t>(dmax) + 1;
+    return foldChs(support, dmax, threads,
+                   [&](std::size_t i, std::uint64_t *counts) {
+                       const std::span<const Bits> run = candidates(i);
+                       kernels.countDistances(support.outcomes[i],
+                                              run.data(), run.size(),
+                                              bins, counts);
+                   });
+}
+
+/**
+ * countLayers' planes for one call: a private anonymous mapping,
+ * unmapped when the call ends, so the planes hold memory only while
+ * the DP runs.  Heap buffers raised sweep-mitigate's peak RSS: kept
+ * per thread, they were freed with short-lived threads and glibc then
+ * raised its mmap threshold past their size, moving later
+ * allocations of that size into arenas (+2.3 MiB); pooled, they
+ * stayed resident between jobs (+1 MiB).  A mapping costs a map, an
+ * unmap and the page zero-fills, which MAP_POPULATE batches.
+ */
+class PlaneMapping
+{
+  public:
+    explicit PlaneMapping(std::size_t bytes) : bytes_(bytes)
+    {
+        int flags = MAP_PRIVATE | MAP_ANONYMOUS;
+#ifdef MAP_POPULATE
+        flags |= MAP_POPULATE;
+#endif
+        void *planes =
+            ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, flags, -1, 0);
+        if (planes == MAP_FAILED)
+            throw std::bad_alloc();
+        planes_ = static_cast<std::uint16_t *>(planes);
+    }
+
+    ~PlaneMapping() { ::munmap(planes_, bytes_); }
+
+    PlaneMapping(const PlaneMapping &) = delete;
+    PlaneMapping &operator=(const PlaneMapping &) = delete;
+
+    std::uint16_t *data() const { return planes_; }
+
+  private:
+    std::size_t bytes_;
+    std::uint16_t *planes_;
+};
+
+/**
+ * Step 1 by the Hamming-layer DP: countLayers fills the planes once,
+ * then row i's counts are read off them at x_i.
+ */
+std::vector<double>
+chsByLayers(const FlatSupport &support, int numBits, int dmax,
+            int threads)
+{
+    const auto bins = static_cast<std::size_t>(dmax) + 1;
+    const PlaneMapping planes(layerPlaneBytes(numBits, bins));
+    activeHammerKernels().countLayers(support.outcomes.data(),
+                                      support.outcomes.size(), numBits,
+                                      bins, planes.data());
+    const std::uint16_t *cube = planes.data();
+    return foldChs(support, dmax, threads,
+                   [&](std::size_t i, std::uint64_t *counts) {
+                       const Bits x = support.outcomes[i];
+                       for (std::size_t d = 1; d < bins; ++d)
+                           counts[d] = cube[(d << numBits) + x];
+                   });
+}
+
+/** True when Step 1 runs countLayers (step1Path(), else the cost). */
+bool
+useLayers(int numBits, std::size_t count, int dmax, int threads)
+{
+    switch (step1Path()) {
+    case Step1Path::Scan:
+        return false;
+    case Step1Path::Layers:
+        return numBits <= kMaxLayerBits &&
+               layerCountsFit(numBits, count);
+    case Step1Path::ByCost:
+        break;
+    }
+    return preferLayers(numBits, count, dmax, threads);
+}
+
+/**
+ * Step 1 over the whole support: Algorithm 1's N(N - 1) ordered
+ * pairs, by the DP or the exhaustive scan.
+ */
+Step1
+exhaustiveStep1(const FlatSupport &support, int numBits, int dmax,
+                int threads)
+{
+    const std::size_t count = support.outcomes.size();
+    Step1 step1;
+    step1.pairOps = count * (count - 1);
+    if (useLayers(numBits, count, dmax, threads)) {
+        step1.chs = chsByLayers(support, numBits, dmax, threads);
+    } else {
+        const std::span<const Bits> all(support.outcomes);
+        step1.chs = chsByScan(support, dmax, threads,
+                              [&](std::size_t) { return all; });
+    }
+    return step1;
 }
 
 /**
@@ -177,7 +282,7 @@ countChsExhaustive(const FlatSupport &support, int dmax, int threads)
 template <typename ScoreChunk>
 Distribution
 rescore(const Distribution &input, const HammerConfig &config,
-        HammerStats *stats, int dmax, ChsPartial step1,
+        HammerStats *stats, int dmax, Step1 step1,
         const ScoreChunk &scoreChunk)
 {
     const int n = input.numBits();
@@ -236,7 +341,8 @@ hammerWeights(const Distribution &input, const HammerConfig &config)
     const int dmax = effectiveMaxDistance(input, config);
     const FlatSupport support(input);
     return weightsFromChs(
-        countChsExhaustive(support, dmax, config.threads).chs,
+        exhaustiveStep1(support, input.numBits(), dmax, config.threads)
+            .chs,
         input.numBits(), config.weightScheme);
 }
 
@@ -274,8 +380,9 @@ reconstruct(const Distribution &input, const HammerConfig &config,
     const FlatSupport support(input);
     const std::size_t count = support.outcomes.size();
 
-    // Exhaustive O(N^2) scans (the reference implementation whose
-    // operation count Table 3 quotes); reconstructFast() is the
+    // Algorithm 1 over every ordered pair (the operation count Table 3
+    // quotes): Step 1 by whichever exact algorithm is cheaper, Step 3
+    // by the exhaustive scan.  reconstructFast() is the
     // popcount-pruned variant.
     const HammerKernels &kernels = activeHammerKernels();
     const auto scoreChunk = [&](std::size_t begin, std::size_t end,
@@ -287,7 +394,8 @@ reconstruct(const Distribution &input, const HammerConfig &config,
         return (end - begin) * (count - 1);
     };
     return rescore(input, config, stats, dmax,
-                   countChsExhaustive(support, dmax, config.threads),
+                   exhaustiveStep1(support, input.numBits(), dmax,
+                                   config.threads),
                    scoreChunk);
 }
 
@@ -318,21 +426,33 @@ reconstructFast(const Distribution &input, const HammerConfig &config,
     // of pc(x) can hold neighbours of x.
     const HammingIndex index(input);
 
-    // Step 1 counts each row's distances over its candidate bands,
-    // one contiguous run of the band-major outcome copy.  The run
-    // holds every outcome within dmax, so the counts of bins
-    // 0..dmax — and the aggregate CHS — equal reconstruct()'s bit
-    // for bit.
-    std::vector<Bits> banded;
-    banded.reserve(support.outcomes.size());
-    for (const std::uint32_t j : index.bandOrder())
-        banded.push_back(support.outcomes[j]);
-    ChsPartial step1 = countChs(
-        support, dmax, config.threads, [&](std::size_t i) {
-            const auto [first, last] = index.candidateRange(i, dmax);
-            return std::span<const Bits>(banded.data() + first,
-                                         last - first);
-        });
+    // Step 1's logical pairs are each row's candidates but itself,
+    // whichever algorithm counts them.  The scan counts each row's
+    // distances over its candidate bands, one contiguous run of a
+    // band-major outcome copy; the run holds every outcome within
+    // dmax, so the counts of bins 0..dmax — and the aggregate CHS —
+    // equal reconstruct()'s bit for bit.
+    const std::size_t count = support.outcomes.size();
+    Step1 step1;
+    for (std::size_t i = 0; i < count; ++i) {
+        const auto [first, last] = index.candidateRange(i, dmax);
+        step1.pairOps += last - first - 1;
+    }
+    if (useLayers(input.numBits(), count, dmax, config.threads)) {
+        step1.chs =
+            chsByLayers(support, input.numBits(), dmax, config.threads);
+    } else {
+        std::vector<Bits> banded;
+        banded.reserve(count);
+        for (const std::uint32_t j : index.bandOrder())
+            banded.push_back(support.outcomes[j]);
+        step1.chs = chsByScan(
+            support, dmax, config.threads, [&](std::size_t i) {
+                const auto [first, last] = index.candidateRange(i, dmax);
+                return std::span<const Bits>(banded.data() + first,
+                                             last - first);
+            });
+    }
 
     const auto scoreChunk = [&](std::size_t begin, std::size_t end,
                                 const std::vector<double> &weights_ext,

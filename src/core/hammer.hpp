@@ -76,7 +76,14 @@ struct HammerStats
     int maxDistance = 0;              ///< Effective neighbourhood bound.
     std::vector<double> aggregateChs; ///< Step-1 aggregate CHS.
     std::vector<double> weights;      ///< Step-2 weights W_d.
-    std::uint64_t pairOperations = 0; ///< Inner-loop executions (~N^2).
+    /**
+     * Algorithm 1's logical pair count, Steps 1 and 3 together
+     * (~2 N^2; the pruned count for reconstructFast()).  Step 1 counts
+     * its ordered pairs whichever exact algorithm ran, scan or
+     * Hamming-layer DP (hammer_kernels.hpp), so this, the Result JSON
+     * and Table 3 do not depend on the algorithm.
+     */
+    std::uint64_t pairOperations = 0;
 };
 
 /**

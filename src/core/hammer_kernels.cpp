@@ -1,13 +1,16 @@
 /**
  * @file
- * Scalar HAMMER pair-scan kernels (the reference every other tier
- * must match bit for bit) and the kernel dispatch.
+ * Scalar HAMMER kernels (the reference every other tier must match
+ * bit for bit), the kernel dispatch and Step 1's cost rule.
  */
 
 #include "core/hammer_kernels.hpp"
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+
+#include "common/thread_pool.hpp"
 
 namespace hammer::core {
 
@@ -22,6 +25,32 @@ countDistancesScalar(common::Bits x, const common::Bits *outcomes,
     for (std::size_t j = 0; j < count; ++j)
         ++all[common::hammingDistance(x, outcomes[j])];
     std::copy(all, all + bins, counts);
+}
+
+void
+countLayersScalar(const common::Bits *outcomes, std::size_t count,
+                  int numBits, std::size_t bins, std::uint16_t *planes)
+{
+    const std::size_t cube = std::size_t{1} << numBits;
+    std::fill(planes, planes + bins * cube, std::uint16_t{0});
+    for (std::size_t j = 0; j < count; ++j)
+        planes[outcomes[j]] = 1;
+    for (int k = 0; k < numBits; ++k) {
+        const std::size_t half = std::size_t{1} << k;
+        // Descending d: plane d - 1 is still level k's when read.
+        for (std::size_t d = bins - 1; d >= 1; --d) {
+            std::uint16_t *plane = planes + d * cube;
+            const std::uint16_t *below = plane - cube;
+            for (std::size_t base = 0; base < cube; base += 2 * half) {
+                for (std::size_t x = base; x < base + half; ++x) {
+                    plane[x] = static_cast<std::uint16_t>(
+                        plane[x] + below[x + half]);
+                    plane[x + half] = static_cast<std::uint16_t>(
+                        plane[x + half] + below[x]);
+                }
+            }
+        }
+    }
 }
 
 void
@@ -48,11 +77,24 @@ scoreRowsScalar(const common::Bits *outcomes, const double *probs,
 }
 
 std::atomic<const HammerKernels *> g_override{nullptr};
+std::atomic<Step1Path> g_step1{Step1Path::ByCost};
+
+// Step 1's cost coefficients in ns, measured single-threaded with
+// bench_hammer_core's Step-1 table on a 4-CPU AVX-512 Xeon (2 MiB L2
+// per core), default radius, clustered 12-16 bit supports: the
+// avx512 scan spends 0.20-0.27 ns per ordered pair, the avx512 DP
+// 0.07-0.12 ns per plane entry and level while its planes fit in L2
+// (reading the rows included).  The scan's is its fastest tier's, so
+// on lower tiers, where the scan is 2.5x (avx2) to 20x (scalar)
+// slower and the DP under 2x, the rule errs towards the scan.
+constexpr double kScanNsPerPair = 0.25;
+constexpr double kLayerNsPerAdd = 0.1;
 
 } // namespace
 
 const HammerKernels kScalarHammerKernels{
-    common::KernelTier::Scalar, countDistancesScalar, scoreRowsScalar};
+    common::KernelTier::Scalar, countDistancesScalar, countLayersScalar,
+    scoreRowsScalar};
 
 const HammerKernels *
 hammerKernelsForTier(common::KernelTier tier)
@@ -94,6 +136,35 @@ void
 setActiveHammerKernels(const HammerKernels *kernels)
 {
     g_override.store(kernels, std::memory_order_release);
+}
+
+bool
+preferLayers(int numBits, std::size_t count, int dmax, int threads)
+{
+    const auto bins = static_cast<std::size_t>(dmax) + 1;
+    if (numBits > kMaxLayerBits || !layerCountsFit(numBits, count) ||
+        layerPlaneBytes(numBits, bins) > kMaxLayerPlaneBytes)
+        return false;
+    const int workers = common::ThreadPool::resolveThreadCount(
+        threads, (count + 63) / 64); // the scan's 64-row chunks
+    const double n = static_cast<double>(count);
+    const double scan = kScanNsPerPair * n * n / workers;
+    const double layers = kLayerNsPerAdd *
+                          std::ldexp(1.0, numBits) *
+                          (1.0 + static_cast<double>(numBits) * dmax);
+    return layers < scan;
+}
+
+void
+setStep1Path(Step1Path path)
+{
+    g_step1.store(path, std::memory_order_release);
+}
+
+Step1Path
+step1Path()
+{
+    return g_step1.load(std::memory_order_acquire);
 }
 
 } // namespace hammer::core

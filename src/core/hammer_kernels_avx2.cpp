@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX2 HAMMER pair-scan kernels.
+ * AVX2 HAMMER kernels.
  *
  * Compiled with -mavx2 -mpopcnt (this file only); reached only after
  * the tier probe confirms both on the host.  The kernel table is a
@@ -20,6 +20,7 @@
 #include <algorithm>
 
 #include "core/hammer_kernels.hpp"
+#include "core/hammer_kernels_layers.hpp"
 
 namespace hammer::core {
 
@@ -178,10 +179,45 @@ scoreRowsAvx2(const common::Bits *outcomes, const double *probs,
                                  weights, scores);
 }
 
+/** countLayers' vector type: 16 uint16 lanes, levels 0-3 in-register. */
+struct LayersAvx2
+{
+    using Reg = __m256i;
+    static constexpr std::size_t width = 16;
+    static constexpr int lowLevels = 4;
+    static Reg load(const std::uint16_t *p)
+    {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+    }
+    static void store(std::uint16_t *p, Reg v)
+    {
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p), v);
+    }
+    static Reg zero() { return _mm256_setzero_si256(); }
+    static Reg add(Reg a, Reg b) { return _mm256_add_epi16(a, b); }
+    static Reg swap(Reg v, int k)
+    {
+        switch (k) {
+        case 0: // adjacent uint16 lanes
+            return _mm256_shuffle_epi8(
+                v, _mm256_setr_epi8(2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9,
+                                    14, 15, 12, 13, 2, 3, 0, 1, 6, 7, 4,
+                                    5, 10, 11, 8, 9, 14, 15, 12, 13));
+        case 1: // adjacent 32-bit lanes
+            return _mm256_shuffle_epi32(v, 0xb1);
+        case 2: // adjacent 64-bit lanes
+            return _mm256_shuffle_epi32(v, 0x4e);
+        default: // the two 128-bit halves
+            return _mm256_permute2x128_si256(v, v, 0x01);
+        }
+    }
+};
+
 } // namespace
 
 const HammerKernels kAvx2HammerKernels{
-    common::KernelTier::Avx2, countDistancesAvx2, scoreRowsAvx2};
+    common::KernelTier::Avx2, countDistancesAvx2,
+    layers::countLayers<LayersAvx2>, scoreRowsAvx2};
 
 } // namespace hammer::core
 

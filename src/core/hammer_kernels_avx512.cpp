@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX-512 HAMMER pair-scan kernels.
+ * AVX-512 HAMMER kernels.
  *
  * Compiled with -mavx512f -mavx512bw -mavx512vl -mavx512vpopcntdq
  * (this file only, and only when the compiler takes those flags);
@@ -28,6 +28,7 @@
 #include <utility>
 
 #include "core/hammer_kernels.hpp"
+#include "core/hammer_kernels_layers.hpp"
 
 namespace hammer::core {
 
@@ -226,10 +227,41 @@ scoreRowsAvx512(const common::Bits *outcomes, const double *probs,
     impl(outcomes, probs, count, first, last, weights, scores);
 }
 
+/** countLayers' vector type: 32 uint16 lanes, levels 0-4 in-register. */
+struct LayersAvx512
+{
+    using Reg = __m512i;
+    static constexpr std::size_t width = 32;
+    static constexpr int lowLevels = 5;
+    static Reg load(const std::uint16_t *p)
+    {
+        return _mm512_loadu_si512(p);
+    }
+    static void store(std::uint16_t *p, Reg v) { _mm512_storeu_si512(p, v); }
+    static Reg zero() { return _mm512_setzero_si512(); }
+    static Reg add(Reg a, Reg b) { return _mm512_add_epi16(a, b); }
+    static Reg swap(Reg v, int k)
+    {
+        switch (k) {
+        case 0: // adjacent uint16 lanes: rotate each 32-bit lane by 16
+            return _mm512_rol_epi32(v, 16);
+        case 1: // adjacent 32-bit lanes
+            return _mm512_shuffle_epi32(v, _MM_PERM_CDAB);
+        case 2: // adjacent 64-bit lanes
+            return _mm512_shuffle_epi32(v, _MM_PERM_BADC);
+        case 3: // adjacent 128-bit lanes
+            return _mm512_shuffle_i64x2(v, v, 0xb1);
+        default: // the two 256-bit halves
+            return _mm512_shuffle_i64x2(v, v, 0x4e);
+        }
+    }
+};
+
 } // namespace
 
 const HammerKernels kAvx512HammerKernels{
-    common::KernelTier::Avx512, countDistancesAvx512, scoreRowsAvx512};
+    common::KernelTier::Avx512, countDistancesAvx512,
+    layers::countLayers<LayersAvx512>, scoreRowsAvx512};
 
 } // namespace hammer::core
 

@@ -4,8 +4,10 @@
  *
  * The contract under test (hammer_kernels.hpp):
  *
- *  - every kernel tier and every thread count gives the same bits
- *    for the full reconstruct() output, HammerStats and weights;
+ *  - every kernel tier, every thread count and both Step-1
+ *    algorithms (the pair scan and the Hamming-layer DP) give the
+ *    same bits for the full reconstruct() output, HammerStats and
+ *    weights, and the two algorithms give every row the same counts;
  *  - against the textbook ordered-pair loop (kept below as the
  *    oracle), the output is bit-identical when every probability is
  *    a multiple of 2^-k (counts/8192), and within 1e-12 otherwise
@@ -50,6 +52,14 @@ class KernelsGuard
         setActiveHammerKernels(kernels);
     }
     ~KernelsGuard() { setActiveHammerKernels(nullptr); }
+};
+
+/** Scoped Step-1 algorithm override; always reverts to the cost rule. */
+class Step1Guard
+{
+  public:
+    explicit Step1Guard(Step1Path path) { setStep1Path(path); }
+    ~Step1Guard() { setStep1Path(Step1Path::ByCost); }
 };
 
 /** How the probabilities of a test histogram are drawn. */
@@ -612,6 +622,226 @@ TEST(HammerKernels, BitIdenticalAcrossThreadCounts)
                     expectSameBits(reconstruct(input, config, &stats),
                                    reference, what);
                     expectSameBits(stats, serial_stats, what);
+                }
+            }
+        }
+    }
+}
+
+/** Distinct n-bit outcomes clustered around a random centre. */
+std::vector<Bits>
+clusteredOutcomes(int n, std::size_t support, std::uint64_t seed)
+{
+    const Distribution d = histogram(n, support, Mass::Dyadic, seed);
+    std::vector<Bits> outcomes;
+    for (const Entry &e : d.entries())
+        outcomes.push_back(e.outcome);
+    return outcomes;
+}
+
+/**
+ * Every tier's countLayers against the scalar scan: each outcome's
+ * row, and a few strings outside the support, must read the same
+ * counts as countDistances over the whole support.
+ */
+void
+expectLayersMatchScan(const std::vector<Bits> &outcomes, int n,
+                      std::size_t bins, Rng &rng, const std::string &what)
+{
+    std::vector<Bits> rows = outcomes;
+    for (int k = 0; k < 8; ++k)
+        rows.push_back(randomBits(rng, n));
+    std::vector<std::vector<std::uint64_t>> want;
+    for (const Bits x : rows) {
+        std::vector<std::uint64_t> counts(bins);
+        kScalarHammerKernels.countDistances(x, outcomes.data(),
+                                            outcomes.size(), bins,
+                                            counts.data());
+        want.push_back(counts);
+    }
+    std::vector<std::uint16_t> planes;
+    for (const HammerKernels *kernels : supportedKernels()) {
+        planes.assign(layerPlaneBytes(n, bins) / sizeof(std::uint16_t),
+                      0xbeef);
+        kernels->countLayers(outcomes.data(), outcomes.size(), n, bins,
+                             planes.data());
+        for (std::size_t r = 0; r < rows.size(); ++r) {
+            for (std::size_t d = 0; d < bins; ++d)
+                ASSERT_EQ(planes[(d << n) + rows[r]], want[r][d])
+                    << what << " "
+                    << hammer::common::tierName(kernels->tier) << " row "
+                    << r << " d=" << d;
+        }
+    }
+}
+
+TEST(HammerKernels, CountLayersMatchesScanOnEveryTier)
+{
+    // Every radius up to 16 bits; past that radius 7 (the vector
+    // tiers' 8-plane register block) and the default (the 16-plane
+    // block).
+    Rng rng(23);
+    std::uint64_t seed = 1200;
+    for (int n = 1; n <= 20; ++n) {
+        std::vector<int> radii;
+        if (n <= 16) {
+            for (int dmax = 0; dmax <= n; ++dmax)
+                radii.push_back(dmax);
+        } else {
+            radii = {0, 7, defaultMaxDistance(n)};
+        }
+        const std::size_t support =
+            std::min<std::size_t>(std::size_t{1} << (n - 1), 300);
+        const std::vector<Bits> outcomes =
+            clusteredOutcomes(n, support, ++seed);
+        for (const int dmax : radii) {
+            expectLayersMatchScan(outcomes, n,
+                                  static_cast<std::size_t>(dmax) + 1, rng,
+                                  "n=" + std::to_string(n) +
+                                      " dmax=" + std::to_string(dmax));
+            if (HasFatalFailure())
+                return;
+        }
+    }
+    // 14 bits at the default radius, on the scan's side of the
+    // crossover and on the DP's.
+    const int dmax = defaultMaxDistance(14);
+    for (const std::size_t support : {std::size_t{400}, std::size_t{2000}}) {
+        EXPECT_EQ(preferLayers(14, support, dmax, 1), support > 400);
+        expectLayersMatchScan(clusteredOutcomes(14, support, ++seed), 14,
+                              static_cast<std::size_t>(dmax) + 1, rng,
+                              "n=14 N=" + std::to_string(support));
+    }
+}
+
+TEST(HammerKernels, CountLayersOnEmptyAndOneOutcomeSupports)
+{
+    Rng rng(29);
+    for (const int n : {1, 3, 5, 6, 9, 14}) {
+        const auto bins = static_cast<std::size_t>(n) + 1;
+        expectLayersMatchScan({}, n, bins, rng,
+                              "empty n=" + std::to_string(n));
+        expectLayersMatchScan({randomBits(rng, n)}, n, bins, rng,
+                              "one outcome n=" + std::to_string(n));
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST(HammerKernels, CountLayersOnTheFullSixteenBitCube)
+{
+    // N = 65536 > 0xffff, yet every count is C(16, d) <= 12870, so
+    // the uint16 planes hold them all.
+    constexpr int n = 16;
+    ASSERT_TRUE(layerCountsFit(n, std::size_t{1} << n));
+    std::vector<Bits> cube(std::size_t{1} << n);
+    for (std::size_t x = 0; x < cube.size(); ++x)
+        cube[x] = x;
+    std::vector<std::uint16_t> planes;
+    for (const std::size_t bins :
+         {std::size_t{1}, std::size_t{8}, std::size_t{9},
+          std::size_t{n + 1}}) {
+        for (const HammerKernels *kernels : supportedKernels()) {
+            planes.assign(layerPlaneBytes(n, bins) / sizeof(std::uint16_t),
+                          0xbeef);
+            kernels->countLayers(cube.data(), cube.size(), n, bins,
+                                 planes.data());
+            for (std::size_t d = 0; d < bins; ++d) {
+                const auto want = static_cast<std::uint16_t>(
+                    hammer::common::binomial(n, static_cast<int>(d)));
+                for (std::size_t x = 0; x < cube.size(); ++x)
+                    ASSERT_EQ(planes[(d << n) + x], want)
+                        << hammer::common::tierName(kernels->tier)
+                        << " bins=" << bins << " d=" << d << " x=" << x;
+            }
+        }
+    }
+}
+
+TEST(HammerKernels, PreferLayersFollowsCostAndCaps)
+{
+    // A 14-bit job at the default radius: the scan wins on a sparse
+    // support, the DP on a dense one, and sharing the scan across
+    // workers moves the crossover up by sqrt(threads).
+    const int dmax = defaultMaxDistance(14);
+    EXPECT_FALSE(preferLayers(14, 200, dmax, 1));
+    EXPECT_TRUE(preferLayers(14, 6000, dmax, 1));
+    std::size_t serial = 1;
+    while (!preferLayers(14, serial, dmax, 1))
+        ++serial;
+    std::size_t four = serial;
+    while (!preferLayers(14, four, dmax, 4))
+        ++four;
+    EXPECT_GT(serial, 300u);
+    EXPECT_LT(serial, 2000u);
+    EXPECT_NEAR(static_cast<double>(four) / static_cast<double>(serial),
+                2.0, 0.05);
+    // Planes beyond kMaxLayerPlaneBytes stay on the scan however large
+    // N grows: 18 bits at radius 8 need 4.5 MiB.
+    EXPECT_GT(layerPlaneBytes(18, 9), kMaxLayerPlaneBytes);
+    EXPECT_FALSE(preferLayers(18, 60000, 8, 1));
+    EXPECT_TRUE(preferLayers(18, 60000, 2, 1));
+    EXPECT_FALSE(preferLayers(kMaxLayerBits + 1, 60000, 0, 1));
+    // uint16 counts: N > 0xffff fits only up to 16 bits.
+    EXPECT_TRUE(layerCountsFit(16, 65536));
+    EXPECT_TRUE(layerCountsFit(20, 0xffff));
+    EXPECT_FALSE(layerCountsFit(17, 0x10000));
+    EXPECT_FALSE(preferLayers(17, 0x10000, 1, 1));
+}
+
+TEST(HammerKernels, BothStep1PathsGiveTheSameBits)
+{
+    // Supports on both sides of the crossover (about 750 outcomes at
+    // 14 bits on one thread, twice that on four), 1/3/4 threads,
+    // every tier: reconstruct, reconstructFast, hammerWeights and the
+    // stats under the forced scan, the forced DP and the cost rule.
+    std::uint64_t seed = 1500;
+    for (const auto &[n, support] :
+         std::vector<std::pair<int, std::size_t>>{
+             {9, 40}, {12, 300}, {12, 1500}, {14, 400}, {14, 900}}) {
+        for (const Mass mass : {Mass::Dyadic, Mass::Random}) {
+            const Distribution input = histogram(n, support, mass, ++seed);
+            HammerConfig config;
+            config.threads = 1;
+            HammerStats ref_stats, ref_fast_stats;
+            Distribution reference(n), reference_fast(n);
+            std::vector<double> ref_weights;
+            {
+                KernelsGuard kernels(&kScalarHammerKernels);
+                Step1Guard path(Step1Path::Scan);
+                reference = reconstruct(input, config, &ref_stats);
+                reference_fast =
+                    reconstructFast(input, config, &ref_fast_stats);
+                ref_weights = hammerWeights(input, config);
+            }
+            for (const HammerKernels *kernels : supportedKernels()) {
+                KernelsGuard kernel_guard(kernels);
+                for (const Step1Path path :
+                     {Step1Path::Scan, Step1Path::Layers,
+                      Step1Path::ByCost}) {
+                    Step1Guard path_guard(path);
+                    for (const int threads : {1, 3, 4}) {
+                        config.threads = threads;
+                        const std::string what =
+                            describe(n, support, mass, config) + " " +
+                            hammer::common::tierName(kernels->tier) +
+                            " path=" +
+                            std::to_string(static_cast<int>(path)) +
+                            " threads=" + std::to_string(threads);
+                        HammerStats stats, fast_stats;
+                        expectSameBits(reconstruct(input, config, &stats),
+                                       reference, what);
+                        expectSameBits(stats, ref_stats, what);
+                        expectSameBits(
+                            reconstructFast(input, config, &fast_stats),
+                            reference_fast, what + " fast");
+                        expectSameBits(fast_stats, ref_fast_stats,
+                                       what + " fast");
+                        EXPECT_EQ(hammerWeights(input, config), ref_weights)
+                            << what;
+                        if (HasFatalFailure())
+                            return;
+                    }
                 }
             }
         }

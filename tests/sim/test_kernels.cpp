@@ -32,6 +32,23 @@ using namespace hammer::sim;
 // bit-for-bit (per-element branch over all 2^n indices).
 // ---------------------------------------------------------------------------
 
+/**
+ * u * a + v * b with every complex product written out as real
+ * multiplies and adds, in the textbook order the kernels use.  Left
+ * as std::complex products, GCC's SLP vectoriser turns them into
+ * vfmaddsub under -march=x86-64-v3 even with -ffp-contract=off, and
+ * the fused roundings break exact equality in the reference itself.
+ */
+Amp
+refDot2(const Amp &u, const Amp &a, const Amp &v, const Amp &b)
+{
+    const double ua_re = u.real() * a.real() - u.imag() * a.imag();
+    const double ua_im = u.real() * a.imag() + u.imag() * a.real();
+    const double vb_re = v.real() * b.real() - v.imag() * b.imag();
+    const double vb_im = v.real() * b.imag() + v.imag() * b.real();
+    return {ua_re + vb_re, ua_im + vb_im};
+}
+
 void
 refApply1q(std::vector<Amp> &amps, const Mat2 &m, int q)
 {
@@ -42,8 +59,8 @@ refApply1q(std::vector<Amp> &amps, const Mat2 &m, int q)
         const std::size_t j = i | mask;
         const Amp a0 = amps[i];
         const Amp a1 = amps[j];
-        amps[i] = m[0] * a0 + m[1] * a1;
-        amps[j] = m[2] * a0 + m[3] * a1;
+        amps[i] = refDot2(m[0], a0, m[1], a1);
+        amps[j] = refDot2(m[2], a0, m[3], a1);
     }
 }
 
