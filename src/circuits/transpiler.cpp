@@ -1,5 +1,6 @@
 #include "circuits/transpiler.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/logging.hpp"
@@ -20,6 +21,25 @@ RoutedCircuit::toLogical(Bits physical) const
             logical |= Bits{1} << q;
     }
     return logical;
+}
+
+OutcomeRelabel::OutcomeRelabel(const RoutedCircuit &routed)
+{
+    int width = 0;
+    for (int p : routed.logicalToPhysical)
+        width = std::max(width, p + 1);
+    bytes_ = static_cast<std::size_t>((width + 7) / 8);
+    table_.assign(bytes_ * 256, 0);
+    for (std::size_t l = 0; l < routed.logicalToPhysical.size(); ++l) {
+        const auto p =
+            static_cast<std::size_t>(routed.logicalToPhysical[l]);
+        const std::size_t byte = p / 8;
+        const Bits in_byte = Bits{1} << (p % 8);
+        for (Bits v = 0; v < 256; ++v) {
+            if (v & in_byte)
+                table_[byte * 256 + v] |= Bits{1} << l;
+        }
+    }
 }
 
 RoutedCircuit

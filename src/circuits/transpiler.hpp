@@ -39,6 +39,33 @@ struct RoutedCircuit
 };
 
 /**
+ * RoutedCircuit::toLogical as a byte-sliced lookup table, for the
+ * per-shot paths that relabel thousands of outcomes of one circuit.
+ *
+ * Entry [b][v] holds the logical bits that physical byte b with value
+ * v contributes, so a relabel is one table load and OR per byte of
+ * the physical width instead of one test per qubit.  operator()
+ * returns exactly what toLogical returns for every outcome.
+ */
+class OutcomeRelabel
+{
+  public:
+    explicit OutcomeRelabel(const RoutedCircuit &routed);
+
+    common::Bits operator()(common::Bits physical) const
+    {
+        common::Bits logical = 0;
+        for (std::size_t b = 0; b < bytes_; ++b)
+            logical |= table_[b * 256 + ((physical >> (8 * b)) & 0xFF)];
+        return logical;
+    }
+
+  private:
+    std::size_t bytes_;
+    std::vector<common::Bits> table_; ///< bytes_ x 256, byte-major.
+};
+
+/**
  * Route @p circuit onto @p coupling with greedy shortest-path SWAP
  * insertion, starting from the identity layout.
  *

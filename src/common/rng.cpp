@@ -19,12 +19,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -36,29 +30,6 @@ Rng::Rng(std::uint64_t seed)
     // xoshiro must not be seeded with the all-zero state.
     if (!(s_[0] | s_[1] | s_[2] | s_[3]))
         s_[0] = 1;
-}
-
-Rng::result_type
-Rng::operator()()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -78,12 +49,6 @@ Rng::uniformInt(std::uint64_t bound)
         if (r >= threshold)
             return r % bound;
     }
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
 }
 
 double

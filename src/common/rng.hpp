@@ -7,6 +7,12 @@
  * every experiment is reproducible from a single seed.  The engine is
  * xoshiro256** seeded through splitmix64, which is fast, has a 256-bit
  * state, and passes BigCrush.
+ *
+ * The per-shot draws of the sampling backends (operator(), uniform(),
+ * bernoulli()) are defined inline here, so a shot loop compiles to
+ * straight-line code instead of three out-of-line calls per draw;
+ * the stream is the same either way.  Seeding, stream derivation and
+ * the rarer primitives live in rng.cpp.
  */
 
 #ifndef HAMMER_COMMON_RNG_HPP
@@ -38,10 +44,27 @@ class Rng
     static constexpr result_type max() { return ~0ull; }
 
     /** Next raw 64-bit output. */
-    result_type operator()();
+    result_type operator()()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double uniform()
+    {
+        // 53 high bits -> double in [0, 1).
+        return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -50,7 +73,7 @@ class Rng
     std::uint64_t uniformInt(std::uint64_t bound);
 
     /** Bernoulli trial with success probability @p p. */
-    bool bernoulli(double p);
+    bool bernoulli(double p) { return uniform() < p; }
 
     /** Standard normal variate (Box-Muller, cached spare). */
     double normal();
@@ -96,6 +119,11 @@ class Rng
     void jump();
 
   private:
+    static constexpr std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
     double spareNormal_;
     bool hasSpare_;

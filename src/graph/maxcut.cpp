@@ -1,6 +1,9 @@
 #include "graph/maxcut.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hpp"
 
@@ -44,16 +47,37 @@ bruteForceOptimum(const Graph &g, double tol)
     opt.minCost = std::numeric_limits<double>::infinity();
     opt.maxCost = -std::numeric_limits<double>::infinity();
 
-    const Bits count = 1ull << n;
-    for (Bits x = 0; x < count; ++x) {
-        const double c = isingCost(g, x);
-        if (c < opt.minCost)
-            opt.minCost = c;
-        if (c > opt.maxCost)
-            opt.maxCost = c;
+    // Edge-major over blocks of cuts: each edge adds +-w to every
+    // cut of the block in one branch-free pass.  Every cut still sums
+    // its edges in edge order from 0.0, and w * zu * zv is exactly
+    // +-w, so each cost equals isingCost's bit for bit.  Candidates
+    // within tol of the running minimum are kept and re-filtered
+    // against the final minimum, which never exceeds it.
+    constexpr Bits kBlock = Bits{1} << 12;
+    const Bits count = Bits{1} << n;
+    const Bits block = std::min(count, kBlock);
+    std::vector<double> cost(block);
+    std::vector<std::pair<Bits, double>> candidates;
+    for (Bits base = 0; base < count; base += block) {
+        std::fill(cost.begin(), cost.end(), 0.0);
+        for (const Edge &e : g.edges()) {
+            for (Bits i = 0; i < block; ++i) {
+                const Bits x = base + i;
+                const bool odd = ((x >> e.u) ^ (x >> e.v)) & 1ull;
+                cost[i] += odd ? -e.weight : e.weight;
+            }
+        }
+        for (Bits i = 0; i < block; ++i) {
+            opt.minCost = std::min(opt.minCost, cost[i]);
+            opt.maxCost = std::max(opt.maxCost, cost[i]);
+        }
+        for (Bits i = 0; i < block; ++i) {
+            if (cost[i] <= opt.minCost + tol)
+                candidates.emplace_back(base + i, cost[i]);
+        }
     }
-    for (Bits x = 0; x < count; ++x) {
-        if (isingCost(g, x) <= opt.minCost + tol)
+    for (const auto &[x, c] : candidates) {
+        if (c <= opt.minCost + tol)
             opt.bestCuts.push_back(x);
     }
     return opt;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <utility>
 
@@ -211,23 +212,37 @@ ChannelSampler::independentFlipProbabilities(
 
 namespace {
 
+/**
+ * Widest measured register counted densely (256 KiB of uint32 counts
+ * per worker slot at the cap).  The counting path depends on m alone,
+ * never on the thread count.
+ */
+constexpr int kDenseCountBits = 16;
+
 /** Per-circuit channel quantities shared by every shot. */
 struct ShotPlan
 {
-    common::Bits mask;
+    int measuredQubits;
+    Bits mask;
     double scramble;
     std::vector<CorrelatedFlip> correlated;
-    std::vector<double> independentFlip;
+    /**
+     * Per-bit flip probability when the bit reads 0 / 1 before its
+     * own flip: the independent gate flip combined with the readout
+     * error of that value.
+     */
+    std::vector<double> flip0;
+    std::vector<double> flip1;
+    circuits::OutcomeRelabel relabel;
 };
 
 /** Push one ideal logical outcome through the noise channels. */
 Bits
 applyShotNoise(const ShotPlan &plan, const ChannelParams &params,
-               const NoiseModel &model, Bits logical,
-               int measured_qubits, Rng &rng)
+               Bits logical, Rng &rng)
 {
     if (plan.scramble > 0.0 && rng.bernoulli(plan.scramble))
-        return rng.uniformInt(Bits{1} << measured_qubits);
+        return rng.uniformInt(Bits{1} << plan.measuredQubits);
     if (params.burstProbability > 0.0 &&
         rng.bernoulli(params.burstProbability)) {
         // Device-specific correlated error burst: when it fires it
@@ -245,16 +260,104 @@ applyShotNoise(const ShotPlan &plan, const ChannelParams &params,
             observed ^= Bits{1} << cf.qubitB;
         }
     }
-    // Independent flips (gate singles + readout).
-    for (int q = 0; q < measured_qubits; ++q) {
-        const bool one = (observed >> q) & 1ull;
-        const double readout = one ? model.readout10 : model.readout01;
-        const double flip = combineFlips(
-            plan.independentFlip[static_cast<std::size_t>(q)], readout);
+    // Independent flips (gate singles + readout).  A zero-probability
+    // bit consumes no draw.
+    for (int q = 0; q < plan.measuredQubits; ++q) {
+        const auto i = static_cast<std::size_t>(q);
+        const double flip =
+            ((observed >> q) & 1ull) ? plan.flip1[i] : plan.flip0[i];
         if (flip > 0.0 && rng.bernoulli(flip))
             observed ^= Bits{1} << q;
     }
     return observed;
+}
+
+/**
+ * Draw @p quota ideal outcomes from @p cdf, then push each through
+ * the channels and hand the noisy logical outcome to @p record — the
+ * one shot loop of both entry points.
+ */
+template <typename Record>
+void
+runShots(const ShotPlan &plan, const ChannelParams &params,
+         const sim::OutcomeCdf &cdf, int quota, Rng &rng,
+         Record &&record)
+{
+    for (Bits physical : cdf.sampleShots(rng, quota))
+        record(applyShotNoise(plan, params, plan.relabel(physical), rng));
+}
+
+/**
+ * Histogram the shots @p fill produces.  fill(record) calls
+ * record(slot, outcome) once per shot, each slot from one thread at a
+ * time; the per-slot partials are then merged without atomics.  Up to
+ * kDenseCountBits measured bits a slot counts into a dense uint32
+ * array, allocated by its first shot (the pool may hand a slot no
+ * work), and the arrays are added element-wise and emitted in
+ * ascending order as count / shots; wider registers use
+ * CountAccumulator partials and its tree reduction.  Integer counts
+ * add exactly, so both paths give the same histogram for any
+ * partition of the shots.
+ */
+template <typename Fill>
+Distribution
+countShots(int measured_qubits, int shots, int slots, Fill &&fill)
+{
+    if (measured_qubits > kDenseCountBits) {
+        std::vector<core::CountAccumulator> partials(
+            static_cast<std::size_t>(slots));
+        fill([&](int slot, Bits x) {
+            partials[static_cast<std::size_t>(slot)].add(x);
+        });
+        return core::CountAccumulator::treeReduce(partials)
+            .toDistribution(measured_qubits);
+    }
+
+    const std::size_t dim = std::size_t{1} << measured_qubits;
+    std::vector<std::vector<std::uint32_t>> partials(
+        static_cast<std::size_t>(slots));
+    fill([&](int slot, Bits x) {
+        auto &local = partials[static_cast<std::size_t>(slot)];
+        if (local.empty())
+            local.assign(dim, 0);
+        ++local[x];
+    });
+    std::vector<std::uint32_t> merged(dim, 0);
+    for (const auto &local : partials) {
+        for (std::size_t x = 0; x < local.size(); ++x)
+            merged[x] += local[x];
+    }
+    const double total = static_cast<double>(shots);
+    std::vector<core::Entry> entries;
+    for (std::size_t x = 0; x < dim; ++x) {
+        if (merged[x] != 0)
+            entries.push_back({x, static_cast<double>(merged[x]) / total});
+    }
+    return Distribution::fromSorted(measured_qubits, std::move(entries));
+}
+
+/** Resolve a circuit's channel quantities into per-shot tables. */
+ShotPlan
+makeShotPlan(const circuits::RoutedCircuit &routed, int measured_qubits,
+             double scramble, std::vector<CorrelatedFlip> correlated,
+             const std::vector<double> &independent,
+             const NoiseModel &model)
+{
+    std::vector<double> flip0(independent.size());
+    std::vector<double> flip1(independent.size());
+    for (std::size_t q = 0; q < independent.size(); ++q) {
+        flip0[q] = combineFlips(independent[q], model.readout01);
+        flip1[q] = combineFlips(independent[q], model.readout10);
+    }
+    return ShotPlan{measured_qubits,
+                    measured_qubits == 64
+                        ? ~Bits{0}
+                        : (Bits{1} << measured_qubits) - 1,
+                    scramble,
+                    std::move(correlated),
+                    std::move(flip0),
+                    std::move(flip1),
+                    circuits::OutcomeRelabel(routed)};
 }
 
 } // namespace
@@ -268,28 +371,17 @@ ChannelSampler::sample(const circuits::RoutedCircuit &routed,
             "ChannelSampler: bad measured qubit count");
     require(shots >= 1, "ChannelSampler: need at least one shot");
 
-    const sim::StateVector state = sim::runCircuit(routed.circuit);
-    const ShotPlan plan{
-        measured_qubits == 64 ? ~Bits{0}
-                              : (Bits{1} << measured_qubits) - 1,
-        scrambleProbability(routed),
+    // The ideal state lives only until its CDF exists.
+    const sim::OutcomeCdf cdf(sim::runCircuit(routed.circuit));
+    const ShotPlan plan = makeShotPlan(
+        routed, measured_qubits, scrambleProbability(routed),
         correlatedFlips(routed, measured_qubits),
-        independentFlipProbabilities(routed, measured_qubits)};
+        independentFlipProbabilities(routed, measured_qubits), model_);
 
-    // Sample all ideal shots in one pass (amortised CDF), reusing a
-    // single norm accumulation for the whole batch.
-    const double norm_total = state.normSquared();
-    const std::vector<Bits> ideal =
-        state.sampleShots(rng, shots, norm_total);
-
-    core::CountAccumulator counts;
-    counts.reserve(ideal.size());
-    for (Bits physical : ideal) {
-        const Bits logical = routed.toLogical(physical);
-        counts.add(applyShotNoise(plan, params_, model_, logical,
-                                  measured_qubits, rng));
-    }
-    return counts.toDistribution(measured_qubits);
+    return countShots(measured_qubits, shots, 1, [&](auto &&record) {
+        runShots(plan, params_, cdf, shots, rng,
+                 [&](Bits x) { record(0, x); });
+    });
 }
 
 Distribution
@@ -302,13 +394,14 @@ ChannelSampler::sampleBatch(const circuits::RoutedCircuit &routed,
             "ChannelSampler: bad measured qubit count");
     require(shots >= 1, "ChannelSampler: need at least one shot");
 
-    const sim::StateVector state = sim::runCircuit(routed.circuit);
-    const ShotPlan plan{
-        measured_qubits == 64 ? ~Bits{0}
-                              : (Bits{1} << measured_qubits) - 1,
-        scrambleProbability(routed),
+    // One CDF for the whole batch: every chunk draws from it instead
+    // of sweeping the state again, and the ideal state lives only
+    // until the CDF exists.
+    const sim::OutcomeCdf cdf(sim::runCircuit(routed.circuit));
+    const ShotPlan plan = makeShotPlan(
+        routed, measured_qubits, scrambleProbability(routed),
         correlatedFlips(routed, measured_qubits),
-        independentFlipProbabilities(routed, measured_qubits)};
+        independentFlipProbabilities(routed, measured_qubits), model_);
 
     // Fixed-size chunks: the chunk schedule depends only on the shot
     // count — never the thread count — so every thread count
@@ -318,38 +411,23 @@ ChannelSampler::sampleBatch(const circuits::RoutedCircuit &routed,
     constexpr int kChunkShots = 1024;
     const int chunks = (shots + kChunkShots - 1) / kChunkShots;
 
-    // One norm pass shared by every chunk; the state is immutable
-    // for the whole batch.
-    const double norm_total = state.normSquared();
-
     const Rng master = rng.split();
 
     // Resolve the request against the chunk count and run on the
     // shared pool when possible (no per-call thread spawning).
     const int workers = common::ThreadPool::resolveThreadCount(
         threads, static_cast<std::size_t>(chunks));
-    std::vector<core::CountAccumulator> partials(
-        static_cast<std::size_t>(workers));
-    common::ThreadPool::run(
-        workers, static_cast<std::size_t>(chunks),
-        [&](std::size_t c, int slot) {
-            const int base = static_cast<int>(c) * kChunkShots;
-            const int quota = std::min(kChunkShots, shots - base);
-            Rng stream = master.fork(c);
-            core::CountAccumulator &local =
-                partials[static_cast<std::size_t>(slot)];
-            for (Bits physical :
-                 state.sampleShots(stream, quota, norm_total)) {
-                const Bits logical = routed.toLogical(physical);
-                local.add(applyShotNoise(plan, params_, model_,
-                                         logical, measured_qubits,
-                                         stream));
-            }
-        });
-
-    const core::CountAccumulator merged =
-        core::CountAccumulator::treeReduce(partials);
-    return merged.toDistribution(measured_qubits);
+    return countShots(measured_qubits, shots, workers, [&](auto &&record) {
+        common::ThreadPool::run(
+            workers, static_cast<std::size_t>(chunks),
+            [&](std::size_t c, int slot) {
+                const int base = static_cast<int>(c) * kChunkShots;
+                const int quota = std::min(kChunkShots, shots - base);
+                Rng stream = master.fork(c);
+                runShots(plan, params_, cdf, quota, stream,
+                         [&](Bits x) { record(slot, x); });
+            });
+    });
 }
 
 } // namespace hammer::noise

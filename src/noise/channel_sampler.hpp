@@ -25,6 +25,14 @@
  * one ideal simulation per circuit.  Integration tests cross-check
  * it against TrajectorySampler (which implements the same channels
  * gate-by-gate) on small circuits.
+ *
+ * Per-job work is done once per job, never per shot: the ideal state
+ * becomes one sim::OutcomeCdf and is released, the per-bit flip
+ * probabilities for a 0 and a 1 reading become two tables, and the
+ * physical-to-logical relabel becomes a byte-sliced
+ * circuits::OutcomeRelabel.  Shots then cost one CDF lookup plus the
+ * channel's Bernoulli draws, in the same order as always, and are
+ * counted in dense 2^m arrays when m <= 16.
  */
 
 #ifndef HAMMER_NOISE_CHANNEL_SAMPLER_HPP
@@ -114,11 +122,11 @@ class ChannelSampler : public NoisySampler
                               common::Rng &rng) override;
 
     /**
-     * Parallel shot fan-out: the ideal state and channel parameters
-     * are computed once, then the shot budget is split into
-     * fixed-size chunks (the chunking depends only on the shot
-     * count, never on the thread count), each chunk drawing from its
-     * own forked RNG stream.  Results are bit-identical for every
+     * Parallel shot fan-out: the outcome CDF and channel tables are
+     * computed once, then the shot budget is split into fixed-size
+     * chunks (the chunking depends only on the shot count, never on
+     * the thread count), each chunk drawing from the shared CDF on
+     * its own forked RNG stream.  Results are bit-identical for every
      * thread count.
      */
     core::Distribution sampleBatch(const circuits::RoutedCircuit &routed,
@@ -157,7 +165,8 @@ class ChannelSampler : public NoisySampler
   private:
     /**
      * Per-measured-bit independent flip probabilities (gate singles
-     * + coherent over-rotation; readout is folded in per shot).
+     * + coherent over-rotation; readout is folded in by the per-job
+     * flip tables).
      */
     std::vector<double> independentFlipProbabilities(
         const circuits::RoutedCircuit &routed,

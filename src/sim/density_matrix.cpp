@@ -57,10 +57,8 @@ DensityMatrix::apply1qRight(const Mat2 &m, int q)
         for (std::size_t r = 0; r < dim_; ++r) {
             const Amp a0 = rho_[index(r, c)];
             const Amp a1 = rho_[index(r, c1)];
-            rho_[index(r, c)] =
-                a0 * std::conj(m[0]) + a1 * std::conj(m[1]);
-            rho_[index(r, c1)] =
-                a0 * std::conj(m[2]) + a1 * std::conj(m[3]);
+            rho_[index(r, c)] = mulConj(a0, m[0]) + mulConj(a1, m[1]);
+            rho_[index(r, c1)] = mulConj(a0, m[2]) + mulConj(a1, m[3]);
         }
     }
 }

@@ -33,7 +33,7 @@ entanglementEntropy(const StateVector &state, int subsystem_qubits)
                 continue;
             for (std::size_t a2 = 0; a2 < dim_a; ++a2) {
                 const auto amp_a2 = state.amplitude((b << k) | a2);
-                rho[a * dim_a + a2] += amp_a * std::conj(amp_a2);
+                rho[a * dim_a + a2] += mulConj(amp_a, amp_a2);
             }
         }
     }

@@ -24,6 +24,20 @@ using Amp = std::complex<double>;
 /** 2x2 single-qubit unitary, row-major. */
 using Mat2 = std::array<Amp, 4>;
 
+/**
+ * a * conj(b) as explicit real multiplies and adds.  GCC expands a
+ * std::complex product with vfmaddsub under -march=x86-64-v3 even
+ * with -ffp-contract=off, which rounds once where the baseline build
+ * rounds twice; spelled out, every build computes the baseline's
+ * bits (finite operands).
+ */
+inline Amp
+mulConj(Amp a, Amp b)
+{
+    return {a.real() * b.real() + a.imag() * b.imag(),
+            a.imag() * b.real() - a.real() * b.imag()};
+}
+
 /** Supported gate kinds. */
 enum class GateKind
 {

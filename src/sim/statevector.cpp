@@ -212,14 +212,8 @@ StateVector::sampleOutcome(common::Rng &rng, double norm_total) const
 std::vector<Bits>
 StateVector::sampleShots(common::Rng &rng, int shots) const
 {
-    return sampleShots(rng, shots, normSquared());
-}
-
-std::vector<Bits>
-StateVector::sampleShots(common::Rng &rng, int shots,
-                         double norm_total) const
-{
     require(shots >= 0, "sampleShots: negative shot count");
+    const double norm_total = normSquared();
 
     // One uniform per shot, drawn in shot order: the RNG stream is
     // the same whether shots are resolved here or one at a time.

@@ -30,7 +30,10 @@
  *  - applyCZ      — quarter-space sign flip.
  *
  * Norm accumulation and CDF sampling are ordered reductions and stay
- * scalar-sequential regardless of the dispatched tier.
+ * scalar-sequential regardless of the dispatched tier.  OutcomeCdf
+ * materialises that CDF once for callers that draw many shot batches
+ * from one state — the channel sampler and the trajectory replay
+ * engine — with the same outcomes as sampleShots().
  */
 
 #ifndef HAMMER_SIM_STATEVECTOR_HPP
@@ -148,10 +151,6 @@ class StateVector
     std::vector<common::Bits> sampleShots(common::Rng &rng,
                                           int shots) const;
 
-    /** Same, reusing an already-accumulated @p norm_total. */
-    std::vector<common::Bits> sampleShots(common::Rng &rng, int shots,
-                                          double norm_total) const;
-
   private:
     int numQubits_;
     common::AlignedVector<double> re_;
@@ -160,7 +159,10 @@ class StateVector
 
 /**
  * Materialised outcome CDF of one state, for drawing many shot
- * batches from it.
+ * batches from it.  Both shot backends sample through it: the
+ * trajectory replay engine's zero-error trajectories share one, and
+ * the channel sampler builds one per job, releases the ideal state,
+ * and draws every 1024-shot chunk from it.
  *
  * Entry i is the running sum StateVector::sampleShots reaches at
  * index i, accumulated in the same order, so total() equals the

@@ -209,4 +209,39 @@ TEST(Transpiler, RejectsDisconnectedDevice)
     EXPECT_THROW(transpile(c, map), std::invalid_argument);
 }
 
+TEST(Transpiler, OutcomeRelabelMatchesToLogical)
+{
+    // Random layouts of every byte count, then a SWAP-routed circuit;
+    // physical words carry stray bits above the width, which both
+    // forms must ignore.
+    Rng rng(17);
+    for (int n : {1, 7, 8, 9, 16, 23, 40, 64}) {
+        RoutedCircuit routed{Circuit(1), {}, 0};
+        routed.logicalToPhysical.resize(static_cast<std::size_t>(n));
+        for (int l = 0; l < n; ++l)
+            routed.logicalToPhysical[static_cast<std::size_t>(l)] = l;
+        for (int l = n - 1; l > 0; --l) {
+            std::swap(routed.logicalToPhysical[static_cast<std::size_t>(l)],
+                      routed.logicalToPhysical[rng.uniformInt(
+                          static_cast<std::uint64_t>(l) + 1)]);
+        }
+        const OutcomeRelabel relabel(routed);
+        for (int s = 0; s < 500; ++s) {
+            const Bits physical = rng();
+            EXPECT_EQ(relabel(physical), routed.toLogical(physical))
+                << "n " << n;
+        }
+    }
+
+    Rng graph_rng(3);
+    const auto routed =
+        transpile(qaoaCircuit(hammer::graph::kRegular(12, 3, graph_rng),
+                              linearRampParams(1)),
+                  CouplingMap::line(12));
+    ASSERT_GT(routed.addedSwaps, 0);
+    const OutcomeRelabel relabel(routed);
+    for (Bits physical = 0; physical < (Bits{1} << 12); ++physical)
+        EXPECT_EQ(relabel(physical), routed.toLogical(physical));
+}
+
 } // namespace

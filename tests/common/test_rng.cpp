@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <sstream>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -258,6 +262,83 @@ TEST(Rng, JumpIsDeterministicAndLeavesTheOrbit)
             ++same;
     }
     EXPECT_LT(same, 2);
+}
+
+/**
+ * The first outputs of every primitive the sampling backends draw
+ * through, for one seed: raw words, uniform() as IEEE-754 bit
+ * patterns, uniformInt (including a bound that rejects about half of
+ * all words), a 16-trial bernoulli mask, fork(3)'s first words
+ * (fork must not advance the parent) and the first words after
+ * jump().
+ */
+std::vector<std::uint64_t>
+streamPrefix(std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::uint64_t> out;
+    for (int i = 0; i < 3; ++i)
+        out.push_back(rng());
+    for (int i = 0; i < 3; ++i) {
+        const double u = rng.uniform();
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &u, sizeof bits);
+        out.push_back(bits);
+    }
+    out.push_back(rng.uniformInt(1000));
+    out.push_back(rng.uniformInt(3));
+    out.push_back(rng.uniformInt((std::uint64_t{1} << 63) + 1));
+    std::uint64_t trials = 0;
+    for (int i = 0; i < 16; ++i)
+        trials |= std::uint64_t{rng.bernoulli(0.3)} << i;
+    out.push_back(trials);
+    Rng child = rng.fork(3);
+    out.push_back(child());
+    out.push_back(child());
+    out.push_back(rng());
+    rng.jump();
+    out.push_back(rng());
+    out.push_back(rng());
+    return out;
+}
+
+std::string
+asInitializer(const std::vector<std::uint64_t> &words)
+{
+    std::ostringstream os;
+    os << std::hex << "{";
+    for (std::uint64_t w : words)
+        os << "0x" << w << "ull, ";
+    os << "}";
+    return os.str();
+}
+
+TEST(Rng, KnownAnswerStreamIsPinned)
+{
+    // Every golden file and bit-identity contract of the sampling
+    // backends rests on this exact stream.
+    const std::vector<std::uint64_t> seed_zero = {
+        0x99ec5f36cb75f2b4ull, 0xbf6e1f784956452aull,
+        0x1a5f849d4933e6e0ull, 0x3fdaa9653c498b4aull,
+        0x3fe774b5a943f085ull, 0x3feffdf06ebb3d79ull,
+        0x158ull,              0x1ull,
+        0x5b032c0ba7539730ull, 0x54eull,
+        0x2387d0cae74c6055ull, 0x1530d87f9bee4ac5ull,
+        0x4d786c0f0a8b88efull, 0x9fc776fa1761d372ull,
+        0x210cefe0bd706379ull};
+    const std::vector<std::uint64_t> seed_coffee = {
+        0x120e99a6dde4a550ull, 0x8f989ef97733d4b4ull,
+        0xf0a28eb2e4fd367bull, 0x3fd430a6ffa1cd3cull,
+        0x3feeec7d67c397c9ull, 0x3fd3b2a1b80a4fa6ull,
+        0x33eull,              0x1ull,
+        0x4da3b71566e0b14cull, 0x740ull,
+        0x7c69d953edf78489ull, 0x0dc44db457b3a695ull,
+        0xf38245938e8925c6ull, 0xad58cb9a07790d80ull,
+        0xb703b4bf7f69ac7aull};
+    EXPECT_EQ(streamPrefix(0), seed_zero)
+        << asInitializer(streamPrefix(0));
+    EXPECT_EQ(streamPrefix(0xC0FFEE), seed_coffee)
+        << asInitializer(streamPrefix(0xC0FFEE));
 }
 
 } // namespace

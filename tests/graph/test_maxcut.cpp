@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
@@ -117,6 +118,63 @@ TEST(Maxcut, WeightedEdgesRespected)
 TEST(Maxcut, BruteForceRejectsHugeInstances)
 {
     EXPECT_THROW(bruteForceOptimum(Graph(27)), std::invalid_argument);
+}
+
+/** The textbook scan: isingCost of every cut, twice. */
+CutOptimum
+naiveOptimum(const Graph &g, double tol)
+{
+    CutOptimum opt{std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   {}};
+    const Bits count = Bits{1} << g.numVertices();
+    for (Bits x = 0; x < count; ++x) {
+        opt.minCost = std::min(opt.minCost, isingCost(g, x));
+        opt.maxCost = std::max(opt.maxCost, isingCost(g, x));
+    }
+    for (Bits x = 0; x < count; ++x) {
+        if (isingCost(g, x) <= opt.minCost + tol)
+            opt.bestCuts.push_back(x);
+    }
+    return opt;
+}
+
+TEST(Maxcut, BruteForceEqualsTheNaiveScanExactly)
+{
+    // Non-dyadic and negative weights make every cost a rounded sum,
+    // so equality holds only if each cut sums its edges in the same
+    // order; the wide tolerances admit near-optimal ties.
+    Rng rng(5);
+    for (int n = 4; n <= 16; ++n) {
+        Graph g(n);
+        for (int u = 0; u < n; ++u) {
+            for (int v = u + 1; v < n; ++v) {
+                if (rng.bernoulli(0.45))
+                    g.addEdge(u, v, rng.uniform(-0.7, 1.3) / 3.0);
+            }
+        }
+        for (double tol : {1e-9, 0.05, 0.4}) {
+            const CutOptimum fast = bruteForceOptimum(g, tol);
+            const CutOptimum naive = naiveOptimum(g, tol);
+            EXPECT_EQ(fast.minCost, naive.minCost) << "n " << n;
+            EXPECT_EQ(fast.maxCost, naive.maxCost) << "n " << n;
+            EXPECT_EQ(fast.bestCuts, naive.bestCuts)
+                << "n " << n << " tol " << tol;
+        }
+    }
+}
+
+TEST(Maxcut, BruteForceKeepsExactTiesOfEqualWeights)
+{
+    // Equal thirds: many cuts tie exactly at the optimum.
+    Rng rng(6);
+    Graph g = kRegular(12, 3, rng);
+    Graph thirds(12);
+    for (const Edge &e : g.edges())
+        thirds.addEdge(e.u, e.v, 1.0 / 3.0);
+    const CutOptimum fast = bruteForceOptimum(thirds);
+    EXPECT_EQ(fast.bestCuts, naiveOptimum(thirds, 1e-9).bestCuts);
+    EXPECT_GE(fast.bestCuts.size(), 2u);
 }
 
 } // namespace

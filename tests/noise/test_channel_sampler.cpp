@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <sstream>
+#include <vector>
+
 #include "circuits/bv.hpp"
 #include "circuits/ghz.hpp"
 #include "circuits/qaoa_circuit.hpp"
@@ -271,6 +276,130 @@ TEST(ChannelSampler, RejectsBadParamsAndArguments)
                  std::invalid_argument);
     EXPECT_THROW(sampler.sample(routed, 4, -1, rng),
                  std::invalid_argument);
+}
+
+/**
+ * FNV-1a over the width and every (outcome, probability bits) entry:
+ * a histogram's exact identity in one word.
+ */
+std::uint64_t
+histogramDigest(const Distribution &d)
+{
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    const auto mix = [&h](std::uint64_t word) {
+        for (int b = 0; b < 64; b += 8) {
+            h ^= (word >> b) & 0xFFu;
+            h *= 0x100000001B3ull;
+        }
+    };
+    mix(static_cast<std::uint64_t>(d.numBits()));
+    for (const auto &e : d.entries()) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &e.probability, sizeof bits);
+        mix(e.outcome);
+        mix(bits);
+    }
+    return h;
+}
+
+std::string
+asInitializer(const std::vector<std::uint64_t> &words)
+{
+    std::ostringstream os;
+    os << std::hex << "{";
+    for (std::uint64_t w : words)
+        os << "0x" << w << "ull, ";
+    os << "}";
+    return os.str();
+}
+
+/**
+ * QAOA on a random 3-regular graph routed onto a line: the inserted
+ * SWAPs move logical qubits across physical bytes, so relabelling
+ * uses more than one byte of the outcome.
+ */
+RoutedCircuit
+pinnedRouted(int n)
+{
+    Rng graph_rng(21);
+    const auto g = hammer::graph::kRegular(n, 3, graph_rng);
+    RoutedCircuit routed = transpile(qaoaCircuit(g, linearRampParams(1)),
+                                     CouplingMap::line(n));
+    EXPECT_GT(n, 8);
+    EXPECT_GT(routed.addedSwaps, 0);
+    return routed;
+}
+
+/** Every channel on: scramble, burst and coherent over-rotation. */
+ChannelSampler
+pinnedSampler()
+{
+    ChannelParams params;
+    params.coherentPer2q = 0.02;
+    params.burstPattern = 0b1011001;
+    params.burstProbability = 0.03;
+    return ChannelSampler(machinePreset("machineB"), params);
+}
+
+/**
+ * sample() and sampleBatch() at threads 1/3/4 for one (n, m, shots)
+ * case: the serial digest, then the batch digest, which every thread
+ * count must reproduce.
+ */
+std::vector<std::uint64_t>
+channelDigests(int n, int measured, int shots, std::uint64_t seed)
+{
+    const RoutedCircuit routed = pinnedRouted(n);
+    ChannelSampler sampler = pinnedSampler();
+    EXPECT_GT(sampler.scrambleProbability(routed), 0.0);
+    Rng serial_rng(seed);
+    std::vector<std::uint64_t> out = {histogramDigest(
+        sampler.sample(routed, measured, shots, serial_rng))};
+    std::uint64_t batch = 0;
+    for (int threads : {1, 3, 4}) {
+        Rng rng(seed);
+        const std::uint64_t d = histogramDigest(
+            sampler.sampleBatch(routed, measured, shots, rng, threads));
+        if (threads == 1)
+            batch = d;
+        EXPECT_EQ(d, batch) << "threads " << threads;
+    }
+    out.push_back(batch);
+    return out;
+}
+
+// Channel histograms pinned bit for bit.  The expected digests were
+// recorded from the per-shot engine (state sweep per chunk, per-shot
+// flip probabilities and relabelling, sorted count accumulators);
+// every later engine must reproduce them exactly.  "Batch" in the
+// names puts them on the forced-kernel-tier legs too.
+
+TEST(ChannelSampler, PinnedBatchDigestsNarrowOutcomes)
+{
+    // 12 physical qubits, 10 measured; shot count not a multiple of
+    // the 1024-shot chunk.
+    const std::vector<std::uint64_t> expected = {
+        0xd05c352ab92343a6ull, 0x62fae0dec204c4c4ull};
+    const auto got = channelDigests(12, 10, 5000, 31);
+    EXPECT_EQ(got, expected) << asInitializer(got);
+}
+
+TEST(ChannelSampler, PinnedBatchDigestsAtTheDenseCountCap)
+{
+    // 2^16 outcomes: the widest histogram counted densely.
+    const std::vector<std::uint64_t> expected = {
+        0x036d2b536db5273full, 0x8140b366fabb0fa9ull};
+    const auto got = channelDigests(18, 16, 3001, 32);
+    EXPECT_EQ(got, expected) << asInitializer(got);
+}
+
+TEST(ChannelSampler, PinnedBatchDigestsAboveTheDenseCountCap)
+{
+    // 2^17 outcomes: counted sparsely.
+    const std::vector<std::uint64_t> expected = {
+        0x949d33987fc845b3ull, 0x0b8c0a729e79f0a2ull};
+    const auto got = channelDigests(18, 17, 3001, 33);
+    EXPECT_EQ(got, expected) << asInitializer(got);
 }
 
 } // namespace

@@ -394,17 +394,6 @@ TEST(Sampling, SweepSampleShotsBitIdenticalToBinarySearch)
     EXPECT_EQ(a(), b());
 }
 
-TEST(Sampling, SampleShotsNormOverloadIdentical)
-{
-    Rng rng(110);
-    const auto amps = randomAmps(5, rng);
-    const StateVector sv = stateFrom(amps, 5);
-    Rng a(7), b(7);
-    const auto plain = sv.sampleShots(a, 2000);
-    const auto reuse = sv.sampleShots(b, 2000, sv.normSquared());
-    EXPECT_EQ(plain, reuse);
-}
-
 TEST(Sampling, SampleOutcomeNormOverloadIdentical)
 {
     Rng rng(111);

@@ -123,24 +123,41 @@ TEST(OutcomeCdf, DrawsOnCdfEntriesAndAtTheTotal)
     }
 }
 
+/**
+ * The sorted sweep's rule for one draw @p r: the first index whose
+ * running sum exceeds it, or the last basis state when none does.
+ */
+Bits
+sweepOutcome(const StateVector &state, double r)
+{
+    const double *re = state.reData();
+    const double *im = state.imData();
+    double acc = 0.0;
+    for (std::size_t i = 0; i < state.dimension(); ++i) {
+        acc += re[i] * re[i] + im[i] * im[i];
+        if (r < acc)
+            return i;
+    }
+    return state.dimension() - 1;
+}
+
 TEST(OutcomeCdf, DrawsBeyondTheTotalLandOnTheLastState)
 {
-    // The sweep accepts a caller's norm; with twice the true total,
-    // half of its draws fall beyond the last CDF entry.  outcome()
-    // must resolve every one of those draws like the sweep did.
+    // Draws scaled by twice the true total: half of them fall beyond
+    // the last CDF entry.  outcome() must resolve every one of those
+    // draws like the sweep's running-sum rule does.
     Rng fill(23);
     const StateVector state = stateWithZeroRuns(6, fill);
     const OutcomeCdf cdf(state);
     const double norm = 2.0 * cdf.total();
     constexpr int kShots = 500;
 
-    Rng a(31), b(31);
-    const std::vector<Bits> sweep = state.sampleShots(a, kShots, norm);
+    Rng b(31);
     int beyond = 0;
     for (int s = 0; s < kShots; ++s) {
         const double r = b.uniform() * norm;
         beyond += r > cdf.total();
-        EXPECT_EQ(cdf.outcome(r), sweep[static_cast<std::size_t>(s)])
+        EXPECT_EQ(cdf.outcome(r), sweepOutcome(state, r))
             << "draw " << s;
     }
     EXPECT_GT(beyond, 0);
