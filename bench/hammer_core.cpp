@@ -17,10 +17,16 @@
  * 12-14 bit supports: any row whose counts differ from the scalar
  * scan's is an error, and outside sanitizer builds the DP must run
  * at least 3x faster than the avx512 scan at 14 bits and 6000
- * outcomes.  Emits BENCH_core.json in smoke mode so CI tracks the
- * speedups push over push.
+ * outcomes.  A fourth table times Step 3 alone on one shot-quantized
+ * 13-bit histogram, every row against the whole support against
+ * scoreSupport's probability-ranked runs, per tier: any score that
+ * differs from the scalar full run is an error, and outside sanitizer
+ * builds the ranked runs must be at least 1.5x faster on every tier.
+ * Emits BENCH_core.json in smoke mode so CI tracks the speedups push
+ * over push.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -390,6 +396,130 @@ benchStep1(bench::BenchReport &report, common::Rng &rng)
     return true;
 }
 
+/**
+ * 8192 shots drawn from a clustered @p num_bits-bit distribution of
+ * @p support outcomes, as counts / 8192: the shot-quantized, heavily
+ * tied histograms HAMMER post-processes.
+ */
+Distribution
+shotHistogram(int num_bits, std::size_t support, common::Rng &rng)
+{
+    constexpr int kShots = 8192;
+    const Distribution dist = clusteredSupport(num_bits, support, rng);
+    std::vector<double> cdf;
+    double total = 0.0;
+    for (const core::Entry &e : dist.entries())
+        cdf.push_back(total += e.probability);
+    std::map<Bits, int> counts;
+    for (int s = 0; s < kShots; ++s) {
+        const auto it = std::lower_bound(cdf.begin(), cdf.end(),
+                                         rng.uniform() * total);
+        const auto k = std::min<std::size_t>(
+            static_cast<std::size_t>(it - cdf.begin()), cdf.size() - 1);
+        ++counts[dist.entries()[k].outcome];
+    }
+    std::vector<core::Entry> entries;
+    for (const auto &[x, count] : counts)
+        entries.push_back({x, static_cast<double>(count) / kShots});
+    return Distribution::fromSorted(num_bits, std::move(entries));
+}
+
+/**
+ * Step 3 alone, single thread, filter on, on one shot-quantized
+ * 13-bit histogram: every row against the whole support (the full
+ * run) and scoreSupport's ranked runs, under every tier with kernels
+ * of its own.  Any score differing from the scalar full run is an
+ * error, and outside sanitizer builds the ranked runs must be at
+ * least 1.5x faster than the full run on every tier.  Returns false
+ * on a failed check or gate.
+ */
+bool
+benchStep3(bench::BenchReport &report, common::Rng &rng)
+{
+    constexpr double kRankedOverFullFloor = 1.5;
+    const Distribution dist = shotHistogram(13, 2048, rng);
+    const std::size_t count = dist.support();
+    std::vector<Bits> outcomes;
+    std::vector<double> probs;
+    for (const core::Entry &e : dist.entries()) {
+        outcomes.push_back(e.outcome);
+        probs.push_back(e.probability);
+    }
+    core::HammerConfig serial;
+    serial.threads = 1;
+    const std::vector<double> weights = core::hammerWeights(dist, serial);
+    std::vector<double> weights_ext(core::kDistanceBins, 0.0);
+    std::copy(weights.begin() + 1, weights.end(), weights_ext.begin() + 1);
+
+    std::vector<double> reference(count);
+    core::kScalarHammerKernels.scoreRows(
+        outcomes.data(), probs.data(), count, outcomes.data(),
+        probs.data(), count, weights_ext.data(), true, reference.data());
+    bool ok = true;
+    bool floor_ok = true;
+    std::uint64_t scored = 0;
+    common::Table table({"tier", "full_ms", "ranked_ms", "x_full"});
+    for (const common::KernelTier tier : common::supportedTiers()) {
+        const core::HammerKernels *kernels =
+            core::hammerKernelsForTier(tier);
+        if (kernels->tier != tier)
+            continue; // runs a lower tier's kernels, timed there
+        core::setActiveHammerKernels(kernels);
+        double full = -1.0;
+        double ranked = -1.0;
+        std::vector<double> full_scores(count);
+        std::vector<double> ranked_scores(count);
+        for (int pass = 0; pass < 5; ++pass) {
+            auto start = std::chrono::steady_clock::now();
+            kernels->scoreRows(outcomes.data(), probs.data(), count,
+                               outcomes.data(), probs.data(), count,
+                               weights_ext.data(), true,
+                               full_scores.data());
+            const double t_full = secondsSince(start);
+            start = std::chrono::steady_clock::now();
+            scored = core::scoreSupport(outcomes.data(), probs.data(),
+                                        count, weights_ext.data(), true,
+                                        1, ranked_scores.data());
+            const double t_ranked = secondsSince(start);
+            if (full < 0.0 || t_full < full)
+                full = t_full;
+            if (ranked < 0.0 || t_ranked < ranked)
+                ranked = t_ranked;
+        }
+        core::setActiveHammerKernels(nullptr);
+        if (full_scores != reference || ranked_scores != reference) {
+            std::printf("ERROR: Step-3 scores under the %s tier differ "
+                        "from the scalar full run\n",
+                        common::tierName(tier));
+            ok = false;
+        }
+        const double x = full / ranked;
+        table.addRow({common::tierName(tier),
+                      common::Table::fmt(full * 1e3, 3),
+                      common::Table::fmt(ranked * 1e3, 3),
+                      common::Table::fmt(x, 2)});
+        report.metric(std::string("step3_x_ranked_over_full_") +
+                          common::tierName(tier),
+                      x);
+        if (!HAMMER_BENCH_SANITIZED && x < kRankedOverFullFloor) {
+            std::printf("ERROR: the ranked Step 3 is only %.2fx the full "
+                        "run under the %s tier (floor %.1fx)\n",
+                        x, common::tierName(tier), kRankedOverFullFloor);
+            floor_ok = false;
+        }
+    }
+    const double share = static_cast<double>(scored) /
+                         (static_cast<double>(count) * count);
+    report.metric("step3_scored_share", share);
+    std::printf("\nStep 3, full run vs ranked runs (8192 shots, %d bits, "
+                "N=%zu, 1 thread; ranked runs score %.1f%% of N^2):\n",
+                dist.numBits(), count, 100.0 * share);
+    table.print(std::cout);
+    if (HAMMER_BENCH_SANITIZED)
+        std::puts("note: sanitizer build — Step-3 floor disabled");
+    return ok && floor_ok;
+}
+
 } // namespace
 
 int
@@ -507,5 +637,6 @@ main()
               "chasing on every hot-path scan");
     const bool tiers_ok = benchKernelTiers(report, rng);
     const bool step1_ok = benchStep1(report, rng);
-    return tiers_ok && step1_ok ? 0 : 1;
+    const bool step3_ok = benchStep3(report, rng);
+    return tiers_ok && step1_ok && step3_ok ? 0 : 1;
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <new>
+#include <numeric>
 #include <span>
 
 #include "common/logging.hpp"
@@ -270,26 +271,32 @@ exhaustiveStep1(const FlatSupport &support, int numBits, int dmax,
     return step1;
 }
 
+/** Step 3's work: its logical pair count and the pairs it scored. */
+struct Step3
+{
+    std::uint64_t pairOps = 0;
+    std::uint64_t scoredPairs = 0;
+};
+
 /**
  * Steps 2 and 3 of both reconstruction variants, given the Step-1
- * partial.  @p scoreChunk(begin, end, weights_ext, scores) writes the
- * neighbourhood scores of rows [begin, end) to scores[0..) and
- * returns the pair operations it spent; weights_ext has
- * kDistanceBins entries, zero at distance 0 (the diagonal) and
- * beyond dmax, so scans need no distance branch.  Each score is a
- * pure function of (row, input, weights), written to its own slot.
+ * partial.  @p scoreAll(weights_ext, scores) writes every row's
+ * neighbourhood score to scores[i] and returns its Step3 work;
+ * weights_ext has kDistanceBins entries, zero at distance 0 (the
+ * diagonal) and beyond dmax, so scans need no distance branch.  Each
+ * score is a pure function of (row, input, weights), written to its
+ * own slot.
  */
-template <typename ScoreChunk>
+template <typename ScoreAll>
 Distribution
 rescore(const Distribution &input, const HammerConfig &config,
         HammerStats *stats, int dmax, Step1 step1,
-        const ScoreChunk &scoreChunk)
+        const ScoreAll &scoreAll)
 {
     const int n = input.numBits();
     const auto &entries = input.entries();
     const std::size_t count = entries.size();
     std::vector<double> chs = std::move(step1.chs);
-    std::uint64_t pair_ops = step1.pairOps;
 
     // Step 2: per-distance weights.
     const std::vector<double> weights =
@@ -299,26 +306,16 @@ rescore(const Distribution &input, const HammerConfig &config,
               weights_ext.begin() + 1);
 
     // Step 3: rescore every outcome.
+    std::vector<double> scores(count);
+    const Step3 step3 = scoreAll(weights_ext.data(), scores.data());
     std::vector<Entry> rescored(count);
-    std::vector<std::uint64_t> scoreOps(
-        ThreadPool::chunkCount(count, kScanChunk), 0);
-    ThreadPool::runChunked(
-        config.threads, count, kScanChunk,
-        [&](std::size_t c, std::size_t begin, std::size_t end, int) {
-            double scores[kScanChunk];
-            scoreOps[c] = scoreChunk(begin, end, weights_ext, scores);
-            for (std::size_t i = begin; i < end; ++i) {
-                const double px = entries[i].probability;
-                const double score = scores[i - begin];
-                rescored[i] = {entries[i].outcome,
-                               config.scoreCombine ==
-                                       ScoreCombine::Multiplicative
-                                   ? score * px
-                                   : score};
-            }
-        });
-    for (const std::uint64_t ops : scoreOps)
-        pair_ops += ops;
+    for (std::size_t i = 0; i < count; ++i) {
+        const double px = entries[i].probability;
+        rescored[i] = {entries[i].outcome,
+                       config.scoreCombine == ScoreCombine::Multiplicative
+                           ? scores[i] * px
+                           : scores[i]};
+    }
 
     Distribution output = Distribution::fromSorted(n, std::move(rescored));
     output.normalize();
@@ -328,7 +325,8 @@ rescore(const Distribution &input, const HammerConfig &config,
         stats->maxDistance = dmax;
         stats->aggregateChs = std::move(chs);
         stats->weights = weights;
-        stats->pairOperations = pair_ops;
+        stats->pairOperations = step1.pairOps + step3.pairOps;
+        stats->scoredPairs = step3.scoredPairs;
     }
     return output;
 }
@@ -382,21 +380,21 @@ reconstruct(const Distribution &input, const HammerConfig &config,
 
     // Algorithm 1 over every ordered pair (the operation count Table 3
     // quotes): Step 1 by whichever exact algorithm is cheaper, Step 3
-    // by the exhaustive scan.  reconstructFast() is the
+    // over probability-ranked row chunks (scoreSupport), which score
+    // only the pairs the filter can pass.  reconstructFast() is the
     // popcount-pruned variant.
-    const HammerKernels &kernels = activeHammerKernels();
-    const auto scoreChunk = [&](std::size_t begin, std::size_t end,
-                                const std::vector<double> &weights_ext,
-                                double *scores) -> std::uint64_t {
-        kernels.scoreRows(support.outcomes.data(), support.probs.data(),
-                          count, begin, end, weights_ext.data(),
-                          config.filterLowerProbability, scores);
-        return (end - begin) * (count - 1);
+    const auto scoreAll = [&](const double *weights_ext,
+                              double *scores) -> Step3 {
+        return {count * (count - 1),
+                scoreSupport(support.outcomes.data(), support.probs.data(),
+                             count, weights_ext,
+                             config.filterLowerProbability, config.threads,
+                             scores)};
     };
     return rescore(input, config, stats, dmax,
                    exhaustiveStep1(support, input.numBits(), dmax,
                                    config.threads),
-                   scoreChunk);
+                   scoreAll);
 }
 
 Distribution
@@ -454,32 +452,41 @@ reconstructFast(const Distribution &input, const HammerConfig &config,
             });
     }
 
-    const auto scoreChunk = [&](std::size_t begin, std::size_t end,
-                                const std::vector<double> &weights_ext,
-                                double *scores) -> std::uint64_t {
+    const auto scoreAll = [&](const double *weights_ext,
+                              double *scores) -> Step3 {
         const bool filter = config.filterLowerProbability;
-        std::uint64_t ops = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-            const Bits x = support.outcomes[i];
-            const double px = support.probs[i];
-            double score = px;
-            index.forEachCandidate(i, dmax, [&](std::size_t j) {
-                if (j == i)
-                    return;
-                ++ops;
-                const int d = common::hammingDistance(
-                    x, support.outcomes[j]);
-                const double pj = support.probs[j];
-                if (filter && !(px > pj))
-                    return;
-                score += weights_ext[static_cast<std::size_t>(d)] * pj;
+        std::vector<std::uint64_t> chunkOps(
+            ThreadPool::chunkCount(count, kScanChunk), 0);
+        ThreadPool::runChunked(
+            config.threads, count, kScanChunk,
+            [&](std::size_t c, std::size_t begin, std::size_t end, int) {
+                std::uint64_t ops = 0;
+                for (std::size_t i = begin; i < end; ++i) {
+                    const Bits x = support.outcomes[i];
+                    const double px = support.probs[i];
+                    double score = px;
+                    index.forEachCandidate(i, dmax, [&](std::size_t j) {
+                        if (j == i)
+                            return;
+                        ++ops;
+                        const int d = common::hammingDistance(
+                            x, support.outcomes[j]);
+                        const double pj = support.probs[j];
+                        if (filter && !(px > pj))
+                            return;
+                        score +=
+                            weights_ext[static_cast<std::size_t>(d)] * pj;
+                    });
+                    scores[i] = score;
+                }
+                chunkOps[c] = ops;
             });
-            scores[i - begin] = score;
-        }
-        return ops;
+        const std::uint64_t ops = std::accumulate(
+            chunkOps.begin(), chunkOps.end(), std::uint64_t{0});
+        return {ops, ops};
     };
     return rescore(input, config, stats, dmax, std::move(step1),
-                   scoreChunk);
+                   scoreAll);
 }
 
 } // namespace hammer::core

@@ -84,6 +84,14 @@ struct HammerStats
      * and Table 3 do not depend on the algorithm.
      */
     std::uint64_t pairOperations = 0;
+    /**
+     * Row-outcome pairs Step 3 actually scored: reconstruct() sums
+     * rows x run length over its rank chunks (hammer_kernels.hpp),
+     * so with the filter on this is the share of N^2 the filter
+     * leaves; reconstructFast() scores its pruned pairs.  The same
+     * on every tier and thread count; kept out of the Result JSON.
+     */
+    std::uint64_t scoredPairs = 0;
 };
 
 /**

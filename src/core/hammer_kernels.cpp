@@ -1,7 +1,8 @@
 /**
  * @file
  * Scalar HAMMER kernels (the reference every other tier must match
- * bit for bit), the kernel dispatch and Step 1's cost rule.
+ * bit for bit), the kernel dispatch, Step 1's cost rule and Step 3's
+ * rank-chunked driver.
  */
 
 #include "core/hammer_kernels.hpp"
@@ -9,6 +10,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 
@@ -54,25 +58,26 @@ countLayersScalar(const common::Bits *outcomes, std::size_t count,
 }
 
 void
-scoreRowsScalar(const common::Bits *outcomes, const double *probs,
-                std::size_t count, std::size_t first, std::size_t last,
+scoreRowsScalar(const common::Bits *rowOutcomes, const double *rowProbs,
+                std::size_t rows, const common::Bits *runOutcomes,
+                const double *runProbs, std::size_t runLength,
                 const double *weights, bool filter, double *scores)
 {
-    for (std::size_t i = first; i < last; ++i) {
-        const common::Bits x = outcomes[i];
-        const double px = probs[i];
+    for (std::size_t r = 0; r < rows; ++r) {
+        const common::Bits x = rowOutcomes[r];
+        const double px = rowProbs[r];
         double score = px; // Algorithm 1 line 17 seeds with P_in[x].
-        for (std::size_t j = 0; j < count; ++j) {
-            const double pj = probs[j];
+        for (std::size_t k = 0; k < runLength; ++k) {
+            const double pj = runProbs[k];
             // Filter pi: credit flows only from strictly less
             // probable neighbours, so rich-but-unlikely strings
             // cannot borrow strength from dominant ones.
             if (filter && !(px > pj))
                 continue;
-            score += weights[common::hammingDistance(x, outcomes[j])] *
-                     pj;
+            score +=
+                weights[common::hammingDistance(x, runOutcomes[k])] * pj;
         }
-        scores[i - first] = score;
+        scores[r] = score;
     }
 }
 
@@ -136,6 +141,83 @@ void
 setActiveHammerKernels(const HammerKernels *kernels)
 {
     g_override.store(kernels, std::memory_order_release);
+}
+
+std::uint64_t
+scoreSupport(const common::Bits *outcomes, const double *probs,
+             std::size_t count, const double *weights, bool filter,
+             int threads, double *scores)
+{
+    using common::ThreadPool;
+    const HammerKernels &kernels = activeHammerKernels();
+    // Rank order: ascending (P, i), a stable sort of the support order
+    // by P (on shot histograms, few distinct P and long ties).
+    std::vector<std::size_t> order(count);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (filter)
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return probs[a] < probs[b];
+                         });
+
+    /** The outcomes with P(j) < below, in ascending j. */
+    struct Run
+    {
+        double below = std::numeric_limits<double>::quiet_NaN();
+        std::size_t length = 0;
+        std::vector<common::Bits> outcomes;
+        std::vector<double> probs;
+    };
+    const std::size_t chunks = ThreadPool::chunkCount(count, kRankChunk);
+    std::vector<Run> runs(static_cast<std::size_t>(
+        ThreadPool::resolveThreadCount(threads, chunks)));
+    std::vector<std::uint64_t> scored(chunks, 0);
+    ThreadPool::runChunked(
+        threads, count, kRankChunk,
+        [&](std::size_t c, std::size_t begin, std::size_t end, int slot) {
+            const std::size_t rows = end - begin;
+            common::Bits xs[kRankChunk];
+            double ps[kRankChunk];
+            double out[kRankChunk];
+            for (std::size_t r = 0; r < rows; ++r) {
+                xs[r] = outcomes[order[begin + r]];
+                ps[r] = probs[order[begin + r]];
+            }
+            const common::Bits *run_outcomes = outcomes;
+            const double *run_probs = probs;
+            std::size_t run_length = count;
+            if (filter) {
+                Run &run = runs[static_cast<std::size_t>(slot)];
+                // The chunk's largest P: no row is credited by an
+                // outcome at or above it.
+                const double top = ps[rows - 1];
+                if (!(run.below == top)) {
+                    // Branch-free compaction: every outcome is written,
+                    // only those below the threshold advance the end.
+                    run.below = top;
+                    run.outcomes.resize(count);
+                    run.probs.resize(count);
+                    run.length = 0;
+                    for (std::size_t j = 0; j < count; ++j) {
+                        run.outcomes[run.length] = outcomes[j];
+                        run.probs[run.length] = probs[j];
+                        run.length += probs[j] < top ? 1 : 0;
+                    }
+                }
+                run_outcomes = run.outcomes.data();
+                run_probs = run.probs.data();
+                run_length = run.length;
+            }
+            scored[c] = rows * run_length;
+            if (run_length == 0)
+                std::copy(ps, ps + rows, out); // the seed alone
+            else
+                kernels.scoreRows(xs, ps, rows, run_outcomes, run_probs,
+                                  run_length, weights, filter, out);
+            for (std::size_t r = 0; r < rows; ++r)
+                scores[order[begin + r]] = out[r];
+        });
+    return std::accumulate(scored.begin(), scored.end(), std::uint64_t{0});
 }
 
 bool

@@ -41,13 +41,25 @@
  *    N^2 / threads against n * dmax * 2^n, capped by the planes'
  *    working set.  It depends only on the shape of the input.
  *
- * Step 3, scoreRows, stays a pair scan: the neighbourhood score of a
- * run of rows.  Every tier adds each row's terms in ascending j onto
- * the seed P(x), exactly like the scalar loop; the AVX2 tier rescores
- * 8 rows per pass and the AVX-512 tier 32, one lane per row, with
- * separate multiplies and adds (no FMA).  Diagonal terms are +0.0
- * additions; filtered terms are +0.0 additions (AVX2) or masked off
- * (AVX-512).  Bit-identical across tiers on every input.
+ * Step 3 scores each row against a candidate run, in ascending j
+ * from the seed P(x).  The filter pi credits a row only from
+ * strictly less probable outcomes, so scoreSupport() walks the rows
+ * in rank order, ascending (P, outcome), in fixed 64-row chunks, and
+ * scores each chunk against the run of outcomes with P(j) below the
+ * chunk's largest P, in ascending j.  Every outcome left out has
+ * P(j) >= P(i) for every row of the chunk, a term the scalar loop
+ * skips anyway, so each row sees exactly the full scan's additions
+ * in the full scan's order: the same bits for a fraction of the
+ * work (on shot histograms, most rows are count-1 outcomes whose run
+ * is empty).  With the filter off the run is the whole support.
+ *
+ * scoreRows scores a block of rows against one run.  Every tier adds
+ * each row's terms in run order onto the seed, exactly like the
+ * scalar loop; the AVX2 tier rescores 8 rows per pass and the
+ * AVX-512 tier 32, one lane per row, with separate multiplies and
+ * adds (no FMA).  Diagonal terms are +0.0 additions; filtered terms
+ * are +0.0 additions (AVX2) or masked off (AVX-512).  Bit-identical
+ * across tiers on every input.
  *
  * Three kernel files: a portable scalar one, an AVX2 one compiled
  * with -mavx2 -mpopcnt and an AVX-512 one compiled with -mavx512f
@@ -110,20 +122,22 @@ struct HammerKernels
                         std::uint16_t *planes);
 
     /**
-     * For each row i in [first, last):
+     * For each row r < @p rows, with x = rowOutcomes[r] and
+     * p = rowProbs[r]:
      *
-     *     scores[i - first] = P(i) + sum over j = 0..count-1, in
-     *         ascending order, of weights[H(i, j)] * P(j),
+     *     scores[r] = p + sum over k = 0..runLength-1, in ascending
+     *         order, of weights[H(x, runOutcomes[k])] * runProbs[k],
      *
-     * skipping j when @p filter holds and !(P(i) > P(j)).  The caller
-     * passes weights[0] == 0, which zeroes the diagonal term (the
-     * support holds distinct outcomes, so H(i, j) == 0 iff j == i);
-     * @p weights has kDistanceBins entries.
+     * skipping k when @p filter holds and !(p > runProbs[k]).  The
+     * caller passes weights[0] == 0, which zeroes the term of a run
+     * outcome equal to x; @p weights has kDistanceBins entries.
      */
-    void (*scoreRows)(const common::Bits *outcomes, const double *probs,
-                      std::size_t count, std::size_t first,
-                      std::size_t last, const double *weights,
-                      bool filter, double *scores);
+    void (*scoreRows)(const common::Bits *rowOutcomes,
+                      const double *rowProbs, std::size_t rows,
+                      const common::Bits *runOutcomes,
+                      const double *runProbs, std::size_t runLength,
+                      const double *weights, bool filter,
+                      double *scores);
 };
 
 extern const HammerKernels kScalarHammerKernels;
@@ -151,6 +165,31 @@ const HammerKernels &activeHammerKernels();
  * use while a reconstruction is running.
  */
 void setActiveHammerKernels(const HammerKernels *kernels);
+
+/** Rows per rank chunk of scoreSupport(). */
+inline constexpr std::size_t kRankChunk = 64;
+
+/**
+ * Step 3 over a whole support of @p count distinct outcomes:
+ * scores[i] is row i's neighbourhood score against every outcome, as
+ * scoreRows defines it, under the active kernels.
+ *
+ * With @p filter, rows run in rank order, ascending (P, i), in
+ * kRankChunk-row chunks, each against the run of outcomes with P(j)
+ * below the chunk's largest P, in ascending j (see the file comment);
+ * a chunk whose run is empty scores P(i) without a
+ * kernel call.  Without it, rows run in support order against the
+ * whole support.  Chunks go to @p threads workers (0 = the default
+ * count); each worker keeps one run, rebuilt only when its next
+ * chunk's threshold differs.  The bits do not depend on the tier,
+ * the thread count or the filter path taken.
+ *
+ * @return The pairs scored: the sum over chunks of rows x run length.
+ */
+std::uint64_t scoreSupport(const common::Bits *outcomes,
+                           const double *probs, std::size_t count,
+                           const double *weights, bool filter,
+                           int threads, double *scores);
 
 /** Bytes of countLayers' planes: @p bins uint16 planes of 2^numBits. */
 constexpr std::size_t

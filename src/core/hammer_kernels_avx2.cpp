@@ -111,28 +111,29 @@ countDistancesAvx2(common::Bits x, const common::Bits *outcomes,
 
 /**
  * Step 3, 8 rows per pass: lanes 0-3 and 4-7 of two accumulators
- * are the rows' running scores, and one sweep over j adds every
- * row's j-th term.  A filtered term is masked to +0.0 and the
- * diagonal gathers weights[0] == 0, so each lane sees exactly the
- * scalar kernel's additions (x + +0.0 == x for the non-negative
- * scores here).
+ * are the rows' running scores, and one sweep over the run adds
+ * every row's k-th term.  A filtered term is masked to +0.0 and a run
+ * outcome equal to the row gathers weights[0] == 0, so each lane sees
+ * exactly the scalar kernel's additions (x + +0.0 == x for the
+ * non-negative scores here).
  */
 template <bool Filter>
 void
-scoreRowsAvx2Impl(const common::Bits *outcomes, const double *probs,
-                  std::size_t count, std::size_t first, std::size_t last,
+scoreRowsAvx2Impl(const common::Bits *rowOutcomes, const double *rowProbs,
+                  std::size_t rows, const common::Bits *runOutcomes,
+                  const double *runProbs, std::size_t runLength,
                   const double *weights, double *scores)
 {
-    for (std::size_t b = first; b < last; b += 8) {
-        const std::size_t rows = std::min<std::size_t>(8, last - b);
+    for (std::size_t b = 0; b < rows; b += 8) {
+        const std::size_t block = std::min<std::size_t>(8, rows - b);
         // A short final block repeats its last row in the spare
         // lanes; their scores are computed and dropped.
         alignas(32) long long xs[8];
         alignas(32) double ps[8];
         for (std::size_t r = 0; r < 8; ++r) {
-            const std::size_t i = b + std::min(r, rows - 1);
-            xs[r] = static_cast<long long>(outcomes[i]);
-            ps[r] = probs[i];
+            const std::size_t i = b + std::min(r, block - 1);
+            xs[r] = static_cast<long long>(rowOutcomes[i]);
+            ps[r] = rowProbs[i];
         }
         const __m256i x0 =
             _mm256_load_si256(reinterpret_cast<const __m256i *>(xs));
@@ -142,10 +143,10 @@ scoreRowsAvx2Impl(const common::Bits *outcomes, const double *probs,
         const __m256d p1 = _mm256_load_pd(ps + 4);
         __m256d s0 = p0; // Algorithm 1 line 17 seeds with P_in[x].
         __m256d s1 = p1;
-        for (std::size_t j = 0; j < count; ++j) {
+        for (std::size_t k = 0; k < runLength; ++k) {
             const __m256i y =
-                _mm256_set1_epi64x(static_cast<long long>(outcomes[j]));
-            const __m256d pj = _mm256_set1_pd(probs[j]);
+                _mm256_set1_epi64x(static_cast<long long>(runOutcomes[k]));
+            const __m256d pj = _mm256_set1_pd(runProbs[k]);
             const __m256i d0 = popcount4x64(_mm256_xor_si256(x0, y));
             const __m256i d1 = popcount4x64(_mm256_xor_si256(x1, y));
             __m256d t0 =
@@ -162,21 +163,22 @@ scoreRowsAvx2Impl(const common::Bits *outcomes, const double *probs,
         alignas(32) double out[8];
         _mm256_store_pd(out, s0);
         _mm256_store_pd(out + 4, s1);
-        std::copy(out, out + rows, scores + (b - first));
+        std::copy(out, out + block, scores + b);
     }
 }
 
 void
-scoreRowsAvx2(const common::Bits *outcomes, const double *probs,
-              std::size_t count, std::size_t first, std::size_t last,
+scoreRowsAvx2(const common::Bits *rowOutcomes, const double *rowProbs,
+              std::size_t rows, const common::Bits *runOutcomes,
+              const double *runProbs, std::size_t runLength,
               const double *weights, bool filter, double *scores)
 {
     if (filter)
-        scoreRowsAvx2Impl<true>(outcomes, probs, count, first, last,
-                                weights, scores);
+        scoreRowsAvx2Impl<true>(rowOutcomes, rowProbs, rows, runOutcomes,
+                                runProbs, runLength, weights, scores);
     else
-        scoreRowsAvx2Impl<false>(outcomes, probs, count, first, last,
-                                 weights, scores);
+        scoreRowsAvx2Impl<false>(rowOutcomes, rowProbs, rows, runOutcomes,
+                                 runProbs, runLength, weights, scores);
 }
 
 /** countLayers' vector type: 16 uint16 lanes, levels 0-3 in-register. */

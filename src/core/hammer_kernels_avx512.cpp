@@ -141,38 +141,39 @@ countDistancesAvx512(common::Bits x, const common::Bits *outcomes,
 /**
  * Step 3, 32 rows per pass: the lanes of four 8-lane accumulators
  * are the rows' running scores (four independent add chains), and
- * one sweep over j adds every row's j-th term.
+ * one sweep over the run adds every row's k-th term.
  *
  * Permute: weights[d] comes from a two-register table lookup
  * (vpermi2pd over weights[0..15]) at min(d, 15), valid because the
  * caller checked that weights[15..64] are all zero.  Otherwise it is
- * gathered.  The diagonal looks up weights[0] == 0; a filtered term
- * is masked off the add, so each lane sees exactly the scalar
- * kernel's additions (x + +0.0 == x for the non-negative scores
- * here).
+ * gathered.  A run outcome equal to the row looks up weights[0] ==
+ * 0; a filtered term is masked off the add, so each lane sees
+ * exactly the scalar kernel's additions (x + +0.0 == x for the
+ * non-negative scores here).
  */
 template <bool Filter, bool Permute>
 void
-scoreRowsAvx512Impl(const common::Bits *outcomes, const double *probs,
-                    std::size_t count, std::size_t first,
-                    std::size_t last, const double *weights,
-                    double *scores)
+scoreRowsAvx512Impl(const common::Bits *rowOutcomes,
+                    const double *rowProbs, std::size_t rows,
+                    const common::Bits *runOutcomes,
+                    const double *runProbs, std::size_t runLength,
+                    const double *weights, double *scores)
 {
     constexpr int kGroups = 4;
     constexpr std::size_t kRows = 8 * kGroups;
     const __m512d w_lo = _mm512_loadu_pd(weights);
     const __m512d w_hi = _mm512_loadu_pd(weights + 8);
     const __m512i top = _mm512_set1_epi64(15);
-    for (std::size_t b = first; b < last; b += kRows) {
-        const std::size_t rows = std::min(kRows, last - b);
+    for (std::size_t b = 0; b < rows; b += kRows) {
+        const std::size_t block = std::min(kRows, rows - b);
         // A short final block repeats its last row in the spare
         // lanes; their scores are computed and dropped.
         alignas(64) long long xs[kRows];
         alignas(64) double ps[kRows];
         for (std::size_t r = 0; r < kRows; ++r) {
-            const std::size_t i = b + std::min(r, rows - 1);
-            xs[r] = static_cast<long long>(outcomes[i]);
-            ps[r] = probs[i];
+            const std::size_t i = b + std::min(r, block - 1);
+            xs[r] = static_cast<long long>(rowOutcomes[i]);
+            ps[r] = rowProbs[i];
         }
         __m512i x[kGroups];
         __m512d p[kGroups];
@@ -182,10 +183,10 @@ scoreRowsAvx512Impl(const common::Bits *outcomes, const double *probs,
             p[g] = _mm512_load_pd(ps + 8 * g);
             s[g] = p[g]; // Algorithm 1 line 17 seeds with P_in[x].
         }
-        for (std::size_t j = 0; j < count; ++j) {
+        for (std::size_t k = 0; k < runLength; ++k) {
             const __m512i y =
-                _mm512_set1_epi64(static_cast<long long>(outcomes[j]));
-            const __m512d pj = _mm512_set1_pd(probs[j]);
+                _mm512_set1_epi64(static_cast<long long>(runOutcomes[k]));
+            const __m512d pj = _mm512_set1_pd(runProbs[k]);
             for (int g = 0; g < kGroups; ++g) {
                 const __m512i d =
                     _mm512_popcnt_epi64(_mm512_xor_si512(x[g], y));
@@ -207,13 +208,14 @@ scoreRowsAvx512Impl(const common::Bits *outcomes, const double *probs,
         alignas(64) double out[kRows];
         for (int g = 0; g < kGroups; ++g)
             _mm512_store_pd(out + 8 * g, s[g]);
-        std::copy(out, out + rows, scores + (b - first));
+        std::copy(out, out + block, scores + b);
     }
 }
 
 void
-scoreRowsAvx512(const common::Bits *outcomes, const double *probs,
-                std::size_t count, std::size_t first, std::size_t last,
+scoreRowsAvx512(const common::Bits *rowOutcomes, const double *rowProbs,
+                std::size_t rows, const common::Bits *runOutcomes,
+                const double *runProbs, std::size_t runLength,
                 const double *weights, bool filter, double *scores)
 {
     const bool permute =
@@ -224,7 +226,8 @@ scoreRowsAvx512(const common::Bits *outcomes, const double *probs,
                    : scoreRowsAvx512Impl<true, false>)
         : (permute ? scoreRowsAvx512Impl<false, true>
                    : scoreRowsAvx512Impl<false, false>);
-    impl(outcomes, probs, count, first, last, weights, scores);
+    impl(rowOutcomes, rowProbs, rows, runOutcomes, runProbs, runLength,
+         weights, scores);
 }
 
 /** countLayers' vector type: 32 uint16 lanes, levels 0-4 in-register. */

@@ -309,4 +309,33 @@ TEST(JsonRoundTrip, GoldenFileStaysByteExact)
     EXPECT_EQ(doc.at("mitigation").asString(), "hammer");
 }
 
+TEST(JsonRoundTrip, PairOperationsStayLogicalAndScoredPairsStayOut)
+{
+    // A tied shot histogram (most outcomes seen once): Step 3 scores
+    // far fewer than N^2 pairs, yet the encoded pair_operations is
+    // Algorithm 1's 2 N (N - 1), and scoredPairs changes neither the
+    // line nor the checksum.
+    Distribution input(10);
+    const std::uint64_t count = 300;
+    for (std::uint64_t k = 0; k < count; ++k)
+        input.set(k * 3 + 1, (k % 10 == 0 ? 25.0 : 1.0) / 1024.0);
+    input.normalize();
+    Result result = goldenResult();
+    result.raw = input;
+    result.mitigated = hammer::core::reconstruct(input, {},
+                                                 &result.hammerStats);
+    EXPECT_EQ(result.hammerStats.pairOperations, 2 * count * (count - 1));
+    EXPECT_LT(result.hammerStats.scoredPairs, count * count / 4);
+
+    const std::string line = result.json();
+    EXPECT_NE(line.find("\"pair_operations\":" +
+                        std::to_string(2 * count * (count - 1))),
+              std::string::npos);
+    EXPECT_EQ(line.find("scored"), std::string::npos);
+    const std::uint64_t checksum = hammer::api::resultChecksum(result);
+    result.hammerStats.scoredPairs += 12345;
+    EXPECT_EQ(result.json(), line);
+    EXPECT_EQ(hammer::api::resultChecksum(result), checksum);
+}
+
 } // namespace

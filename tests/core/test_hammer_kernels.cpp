@@ -8,6 +8,10 @@
  *    algorithms (the pair scan and the Hamming-layer DP) give the
  *    same bits for the full reconstruct() output, HammerStats and
  *    weights, and the two algorithms give every row the same counts;
+ *  - Step 3 over probability-ranked row chunks (scoreSupport) gives
+ *    every row the bits of the scalar kernel over the whole support
+ *    and of neighborhoodScore, on tied shot histograms too, while
+ *    pairOperations stays Algorithm 1's logical count;
  *  - against the textbook ordered-pair loop (kept below as the
  *    oracle), the output is bit-identical when every probability is
  *    a multiple of 2^-k (counts/8192), and within 1e-12 otherwise
@@ -322,6 +326,7 @@ checkAllTiers(const Distribution &input, const HammerConfig &config,
         expectSameBits(reconstruct(input, config, &tier_stats),
                        reference, tier);
         expectSameBits(tier_stats, ref_stats, tier);
+        EXPECT_EQ(tier_stats.scoredPairs, ref_stats.scoredPairs) << tier;
         // Step 2 in isolation reports the weights reconstruct used.
         const std::vector<double> weights = hammerWeights(input, config);
         ASSERT_EQ(weights.size(), ref_stats.weights.size()) << tier;
@@ -457,15 +462,19 @@ TEST(HammerKernels, ScoreRowsMatchesScalarOnAnyRowRange)
                  // Across the AVX-512 tier's 32-row blocks, and a
                  // short final block (37 = 32 + 5 rows).
                  {0, 32}, {1, 33}, {31, 97}, {40, 77}}) {
+            // Rows [first, last) against the whole support.
             std::vector<double> want(last - first);
             kScalarHammerKernels.scoreRows(
-                outcomes.data(), probs.data(), outcomes.size(), first, last,
+                outcomes.data() + first, probs.data() + first, last - first,
+                outcomes.data(), probs.data(), outcomes.size(),
                 weights.data(), filter, want.data());
             for (const HammerKernels *kernels : supportedKernels()) {
                 std::vector<double> got(last - first, -1.0);
-                kernels->scoreRows(outcomes.data(), probs.data(),
-                                   outcomes.size(), first, last,
-                                   weights.data(), filter, got.data());
+                kernels->scoreRows(outcomes.data() + first,
+                                   probs.data() + first, last - first,
+                                   outcomes.data(), probs.data(),
+                                   outcomes.size(), weights.data(), filter,
+                                   got.data());
                 for (std::size_t r = 0; r < got.size(); ++r)
                     ASSERT_EQ(got[r], want[r])
                         << hammer::common::tierName(kernels->tier)
@@ -499,14 +508,15 @@ TEST(HammerKernels, ScoreRowsWeightsBeyondFourteenMatchScalar)
             for (const bool filter : {true, false}) {
                 std::vector<double> want(outcomes.size());
                 kScalarHammerKernels.scoreRows(
-                    outcomes.data(), probs.data(), outcomes.size(), 0,
-                    outcomes.size(), weights.data(), filter, want.data());
+                    outcomes.data(), probs.data(), outcomes.size(),
+                    outcomes.data(), probs.data(), outcomes.size(),
+                    weights.data(), filter, want.data());
                 for (const HammerKernels *kernels : supportedKernels()) {
                     std::vector<double> got(outcomes.size(), -1.0);
                     kernels->scoreRows(outcomes.data(), probs.data(),
-                                       outcomes.size(), 0,
-                                       outcomes.size(), weights.data(),
-                                       filter, got.data());
+                                       outcomes.size(), outcomes.data(),
+                                       probs.data(), outcomes.size(),
+                                       weights.data(), filter, got.data());
                     for (std::size_t r = 0; r < got.size(); ++r)
                         ASSERT_EQ(got[r], want[r])
                             << hammer::common::tierName(kernels->tier)
@@ -622,6 +632,8 @@ TEST(HammerKernels, BitIdenticalAcrossThreadCounts)
                     expectSameBits(reconstruct(input, config, &stats),
                                    reference, what);
                     expectSameBits(stats, serial_stats, what);
+                    EXPECT_EQ(stats.scoredPairs, serial_stats.scoredPairs)
+                        << what;
                 }
             }
         }
@@ -886,6 +898,301 @@ TEST(HammerKernels, WeightsAgreeAcrossEveryEntryPoint)
                             << d;
                 }
             }
+        }
+    }
+}
+
+/** A shot histogram: distinct outcomes and their shot counts. */
+struct Shots
+{
+    int numBits = 0;
+    std::vector<Bits> outcomes; ///< Ascending, distinct.
+    std::vector<std::uint64_t> counts;
+    std::uint64_t total = 0;
+
+    Distribution distribution() const
+    {
+        std::vector<Entry> entries;
+        for (std::size_t i = 0; i < outcomes.size(); ++i)
+            entries.push_back({outcomes[i],
+                               static_cast<double>(counts[i]) /
+                                   static_cast<double>(total)});
+        return Distribution::fromSorted(numBits, std::move(entries));
+    }
+};
+
+/**
+ * @p support distinct n-bit outcomes clustered around a random
+ * centre, one shot each, plus the rest of @p total shots spread over
+ * at most @p heavy of them: heavy ties at count 1 and among the heavy
+ * outcomes.  With @p total == 0 every outcome keeps one shot of
+ * support, so all probabilities are equal.
+ */
+Shots
+tiedShots(int n, std::size_t support, std::size_t heavy,
+          std::uint64_t total, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const Bits centre = randomBits(rng, n);
+    Shots shots;
+    shots.numBits = n;
+    while (shots.outcomes.size() < support) {
+        while (shots.outcomes.size() < support) {
+            Bits x = centre;
+            const int flips = static_cast<int>(
+                rng.uniformInt(static_cast<std::uint64_t>(n) + 1));
+            for (int f = 0; f < flips; ++f)
+                x ^= Bits{1} << rng.uniformInt(static_cast<std::uint64_t>(n));
+            shots.outcomes.push_back(x);
+        }
+        std::sort(shots.outcomes.begin(), shots.outcomes.end());
+        shots.outcomes.erase(
+            std::unique(shots.outcomes.begin(), shots.outcomes.end()),
+            shots.outcomes.end());
+    }
+    shots.counts.assign(support, 1);
+    shots.total = total == 0 ? support : total;
+    heavy = std::min(heavy, support);
+    std::vector<std::size_t> picks;
+    for (std::size_t k = 0; k < heavy; ++k)
+        picks.push_back(rng.uniformInt(support));
+    for (std::uint64_t left = shots.total - support; left > 0; --left)
+        ++shots.counts[picks[rng.uniformInt(heavy)]];
+    return shots;
+}
+
+/**
+ * scoreSupport's pair count, from its definition: rows x run length
+ * over rank chunks, the run of a chunk being every outcome less
+ * probable than its most probable row.
+ */
+std::uint64_t
+expectedScoredPairs(std::vector<double> probs, bool filter)
+{
+    const std::size_t count = probs.size();
+    if (!filter)
+        return static_cast<std::uint64_t>(count) * count;
+    std::sort(probs.begin(), probs.end());
+    std::uint64_t pairs = 0;
+    for (std::size_t begin = 0; begin < count; begin += kRankChunk) {
+        const std::size_t end = std::min(count, begin + kRankChunk);
+        const auto run = static_cast<std::uint64_t>(
+            std::lower_bound(probs.begin(), probs.end(), probs[end - 1]) -
+            probs.begin());
+        pairs += (end - begin) * run;
+    }
+    return pairs;
+}
+
+TEST(HammerKernels, RankedStep3MatchesTheFullRunBitForBit)
+{
+    // Shot-quantized histograms with heavy ties and all-equal ones
+    // (every run empty), at and around the kernels' 32-row blocks and
+    // the 64-row rank chunks, and 64k +- 1 outcomes; table-lookup
+    // weights (radius 6) and gathered ones (radius 20).  Reference:
+    // the scalar kernel over every row (a sample of rows at 64k)
+    // against the whole support.  Filter off at 64k would be the
+    // unchanged 4e9-pair full scan, so it runs up to 65 outcomes.
+    struct Case
+    {
+        std::size_t support;
+        std::size_t heavy;
+        std::uint64_t total;
+    };
+    std::vector<Case> cases;
+    for (const std::size_t support :
+         {std::size_t{1}, std::size_t{31}, std::size_t{32},
+          std::size_t{33}, std::size_t{63}, std::size_t{64},
+          std::size_t{65}}) {
+        cases.push_back({support, support / 3 + 1, 8192});
+        cases.push_back({support, 0, 0});
+    }
+    cases.push_back({65535, 100, 1 << 17});
+    cases.push_back({65537, 100, 1 << 17});
+    cases.push_back({65537, 0, 0});
+    std::uint64_t seed = 2100;
+    for (const Case &c : cases) {
+        const Shots shots = tiedShots(24, c.support, c.heavy, c.total,
+                                      ++seed);
+        std::vector<double> probs;
+        for (const std::uint64_t k : shots.counts)
+            probs.push_back(static_cast<double>(k) /
+                            static_cast<double>(shots.total));
+        const std::size_t count = probs.size();
+        const bool large = count > 4096;
+        std::vector<std::size_t> rows;
+        for (std::size_t i = 0; i < count; ++i) {
+            if (!large || i % 251 == 0 || shots.counts[i] > 1 ||
+                i + 1 == count)
+                rows.push_back(i);
+        }
+        std::vector<Bits> row_outcomes;
+        std::vector<double> row_probs;
+        for (const std::size_t i : rows) {
+            row_outcomes.push_back(shots.outcomes[i]);
+            row_probs.push_back(probs[i]);
+        }
+        for (const int radius : {6, 20}) {
+            std::vector<double> weights(kDistanceBins, 0.0);
+            for (int d = 1; d <= radius; ++d)
+                weights[static_cast<std::size_t>(d)] = 1.0 / (d + 2);
+            for (const bool filter : {true, false}) {
+                if (large && !filter)
+                    continue;
+                const std::string what =
+                    "N=" + std::to_string(count) + " total=" +
+                    std::to_string(shots.total) + " radius=" +
+                    std::to_string(radius) +
+                    " filter=" + std::to_string(filter);
+                std::vector<double> want(rows.size());
+                kScalarHammerKernels.scoreRows(
+                    row_outcomes.data(), row_probs.data(), rows.size(),
+                    shots.outcomes.data(), probs.data(), count,
+                    weights.data(), filter, want.data());
+                const std::uint64_t pairs =
+                    expectedScoredPairs(probs, filter);
+                if (c.total == 0 && filter) {
+                    EXPECT_EQ(pairs, 0u) << what;
+                }
+                for (const HammerKernels *kernels : supportedKernels()) {
+                    KernelsGuard guard(kernels);
+                    for (const int threads : {1, 3}) {
+                        std::vector<double> got(count, -1.0);
+                        EXPECT_EQ(scoreSupport(shots.outcomes.data(),
+                                               probs.data(), count,
+                                               weights.data(), filter,
+                                               threads, got.data()),
+                                  pairs)
+                            << what;
+                        for (std::size_t r = 0; r < rows.size(); ++r)
+                            ASSERT_EQ(got[rows[r]], want[r])
+                                << what << " "
+                                << hammer::common::tierName(kernels->tier)
+                                << " threads=" << threads << " row "
+                                << rows[r];
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(HammerKernels, RankedStep3MatchesNeighborhoodScore)
+{
+    // The per-outcome Eq. 2 loop is the independent reference: with
+    // reconstruct()'s weights, every row's ranked score equals
+    // neighborhoodScore bit for bit, on every tier.  Radius 20 with
+    // uniform weights forces the AVX-512 tier's gather path.
+    std::uint64_t seed = 2200;
+    for (const std::size_t support :
+         {std::size_t{1}, std::size_t{33}, std::size_t{65},
+          std::size_t{150}}) {
+        for (const std::uint64_t total : {std::uint64_t{8192},
+                                          std::uint64_t{0}}) {
+            const Shots shots =
+                tiedShots(24, support, support / 4 + 1, total, ++seed);
+            const Distribution input = shots.distribution();
+            std::vector<double> probs;
+            for (const Entry &e : input.entries())
+                probs.push_back(e.probability);
+            for (const auto &[radius, scheme] :
+                 std::vector<std::pair<int, WeightScheme>>{
+                     {-1, WeightScheme::InverseChs},
+                     {20, WeightScheme::Uniform},
+                     {20, WeightScheme::InverseChs}}) {
+                for (const bool filter : {true, false}) {
+                    HammerConfig config;
+                    config.maxDistance = radius;
+                    config.weightScheme = scheme;
+                    config.filterLowerProbability = filter;
+                    config.threads = 1;
+                    const std::vector<double> weights =
+                        hammerWeights(input, config);
+                    std::vector<double> weights_ext(kDistanceBins, 0.0);
+                    std::copy(weights.begin() + 1, weights.end(),
+                              weights_ext.begin() + 1);
+                    std::vector<double> want;
+                    for (const Entry &e : input.entries())
+                        want.push_back(
+                            neighborhoodScore(input, e.outcome, config));
+                    for (const HammerKernels *kernels :
+                         supportedKernels()) {
+                        KernelsGuard guard(kernels);
+                        std::vector<double> got(probs.size(), -1.0);
+                        scoreSupport(shots.outcomes.data(), probs.data(),
+                                     probs.size(), weights_ext.data(),
+                                     filter, 1, got.data());
+                        for (std::size_t i = 0; i < got.size(); ++i)
+                            ASSERT_EQ(got[i], want[i])
+                                << hammer::common::tierName(kernels->tier)
+                                << " N=" << support << " total=" << total
+                                << " radius=" << radius << " filter="
+                                << filter << " row " << i;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(HammerKernels, TiedHistogramsBitIdenticalAcrossTiersAndThreads)
+{
+    // A sweep-shaped job: 13 bits, 8192 shots, most outcomes seen
+    // once.  reconstruct() matches the oracle bit for bit and gives
+    // the same bits and stats on every tier at 1, 2 and 4 threads.
+    const Shots shots = tiedShots(13, 2000, 400, 8192, 2300);
+    const Distribution input = shots.distribution();
+    for (const bool filter : {true, false}) {
+        HammerConfig serial;
+        serial.filterLowerProbability = filter;
+        serial.threads = 1;
+        checkAllTiers(input, serial, Mass::Dyadic,
+                      describe(13, input.support(), Mass::Dyadic, serial));
+        HammerStats serial_stats;
+        const Distribution reference =
+            reconstruct(input, serial, &serial_stats);
+        for (const HammerKernels *kernels : supportedKernels()) {
+            KernelsGuard guard(kernels);
+            for (const int threads : {1, 2, 4}) {
+                HammerConfig config = serial;
+                config.threads = threads;
+                HammerStats stats;
+                const std::string what =
+                    std::string(hammer::common::tierName(kernels->tier)) +
+                    ", filter=" + std::to_string(filter) + ", " +
+                    std::to_string(threads) + " threads";
+                expectSameBits(reconstruct(input, config, &stats),
+                               reference, what);
+                expectSameBits(stats, serial_stats, what);
+                EXPECT_EQ(stats.scoredPairs, serial_stats.scoredPairs)
+                    << what;
+            }
+        }
+    }
+}
+
+TEST(HammerKernels, PairOperationsStayLogicalUnderRankedStep3)
+{
+    // pairOperations is Algorithm 1's 2 N (N - 1) whatever Step 3
+    // skips; scoredPairs is the work done, far below N^2 on a tied
+    // shot histogram and exactly N^2 with the filter off.
+    const Shots shots = tiedShots(13, 1500, 300, 8192, 2400);
+    const Distribution input = shots.distribution();
+    const std::uint64_t count = input.support();
+    std::vector<double> probs;
+    for (const Entry &e : input.entries())
+        probs.push_back(e.probability);
+    for (const bool filter : {true, false}) {
+        HammerConfig config;
+        config.filterLowerProbability = filter;
+        HammerStats stats;
+        reconstruct(input, config, &stats);
+        EXPECT_EQ(stats.pairOperations, 2 * count * (count - 1));
+        EXPECT_EQ(stats.scoredPairs, expectedScoredPairs(probs, filter));
+        if (filter) {
+            EXPECT_LT(stats.scoredPairs, count * count / 2);
+        } else {
+            EXPECT_EQ(stats.scoredPairs, count * count);
         }
     }
 }

@@ -937,11 +937,14 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "unique outcomes : %zu\n"
                          "max distance    : %d\n"
-                         "pair operations : %llu (per pass)\n",
+                         "pair operations : %llu (per pass)\n"
+                         "scored pairs    : %llu (Step 3)\n",
                          result.hammerStats.uniqueOutcomes,
                          result.hammerStats.maxDistance,
                          static_cast<unsigned long long>(
-                             result.hammerStats.pairOperations));
+                             result.hammerStats.pairOperations),
+                         static_cast<unsigned long long>(
+                             result.hammerStats.scoredPairs));
         }
 
         emit(result, format, top);
