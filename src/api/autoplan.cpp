@@ -248,15 +248,12 @@ estimateSpecCost(const ExperimentSpec &spec)
             approximateSpecFeatures(spec);
         const plan::CalibrationTable &table =
             plan::activeCalibration();
-        std::string backend = spec.backend;
-        if (backend == "service")
-            backend = spec.backendSpec.serviceBackend;
-        if (backend == "auto") {
+        if (spec.backend == "auto") {
             const auto ranked = plan::rankPlans(features, table);
             return ranked.front().cost.seconds;
         }
         plan::PlanChoice choice;
-        choice.backend = backend;
+        choice.backend = spec.backend;
         return plan::estimateCost(features, choice, table).seconds;
     } catch (const std::exception &) {
         return 1e-3; // Deterministic fallback for unpriceable specs.

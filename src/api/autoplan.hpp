@@ -72,10 +72,10 @@ plan::PlanFeatures approximateSpecFeatures(const ExperimentSpec &spec);
 
 /**
  * Predicted execution cost of @p spec in seconds, under the active
- * calibration.  `auto` prices as its cheapest candidate; `service`
- * prices as its delegate backend.  Never throws: specs that would
- * fail later (unknown machine, unknown family) get a small fallback
- * cost so admission control still orders them deterministically.
+ * calibration.  `auto` prices as its cheapest candidate.  Never
+ * throws: specs that would fail later (unknown machine, unknown
+ * family) get a small fallback cost so admission control still
+ * orders them deterministically.
  */
 double estimateSpecCost(const ExperimentSpec &spec);
 

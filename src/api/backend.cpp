@@ -1,7 +1,6 @@
 #include "api/backend.hpp"
 
 #include "api/autoplan.hpp"
-#include "api/service.hpp"
 #include "common/logging.hpp"
 #include "noise/exact_sampler.hpp"
 #include "noise/trajectory_sampler.hpp"
@@ -119,9 +118,6 @@ defaultBackendRegistry()
     registry.add("exact-cached", [](const BackendSpec &spec) {
         return std::make_unique<noise::CachedExactSampler>(
             resolveNoiseModel(spec));
-    });
-    registry.add("service", [](const BackendSpec &spec) {
-        return std::make_unique<ServiceSampler>(spec);
     });
     registry.add("auto", [](const BackendSpec &spec) {
         return std::make_unique<AutoSampler>(spec);

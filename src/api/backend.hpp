@@ -47,12 +47,6 @@ struct BackendSpec
 
     /** Channel-backend tuning (bursts, coherent errors, ...). */
     std::optional<noise::ChannelParams> channelParams;
-
-    /**
-     * `service` backend only: the backend that actually executes
-     * behind the queue (any registered name except "service").
-     */
-    std::string serviceBackend = "channel";
 };
 
 /**
@@ -80,9 +74,6 @@ void validateBackendSpec(const BackendSpec &spec);
  *   exact         density-matrix ground truth (<= ~10 qubits)
  *   exact-cached  ground truth memoised per (circuit, model) and
  *                 resampled across shot budgets
- *   service       queued front door: batched execution routed
- *                 through ExecutionService::shared()'s job queue,
- *                 delegating to BackendSpec::serviceBackend
  *   auto          cost-model-selected: ranks candidate plans under
  *                 the active plan::CalibrationTable and executes the
  *                 cheapest, bit-identical to that backend

@@ -107,11 +107,10 @@ struct Result
 
     /**
      * True when this result is a degraded substitute: a cached
-     * lower-trajectory-budget run, or a local fallback executed
-     * because every remote shard's circuit breaker was open.  A
-     * degraded result is always explicitly flagged (writeJson emits
-     * "degraded": true only in that case) and never cached under
-     * the requested spec's key.
+     * lower-trajectory-budget run served under
+     * ExecutionServiceOptions::degradedServing.  A degraded result is
+     * always explicitly flagged (writeJson emits "degraded": true only
+     * in that case) and never cached under the requested spec's key.
      */
     bool degraded = false;
 

@@ -30,16 +30,6 @@ using common::require;
 
 namespace {
 
-/** Depth of service-job nesting on this thread (0 = not a worker). */
-thread_local int workerDepth = 0;
-
-/** RAII marker for a thread while it executes a service job. */
-struct WorkerScope
-{
-    WorkerScope() { ++workerDepth; }
-    ~WorkerScope() { --workerDepth; }
-};
-
 /**
  * Control-flow token for an injected worker death: thrown at a
  * ServiceJob fault point, caught by the worker's retry loop — never
@@ -119,33 +109,7 @@ retryKeyClass(const ExperimentSpec &spec)
     return spec.backend + "|" + spec.workload.substr(0, colon);
 }
 
-/** Process-wide RemoteExecutor slot (see service.hpp). */
-std::mutex remoteExecutorMutex;
-RemoteExecutor remoteExecutorHook;
-
-/** Copy the installed executor (empty when none). */
-RemoteExecutor
-remoteExecutorSnapshot()
-{
-    std::lock_guard<std::mutex> lock(remoteExecutorMutex);
-    return remoteExecutorHook;
-}
-
 } // namespace
-
-void
-setRemoteExecutor(RemoteExecutor executor)
-{
-    std::lock_guard<std::mutex> lock(remoteExecutorMutex);
-    remoteExecutorHook = std::move(executor);
-}
-
-bool
-hasRemoteExecutor()
-{
-    std::lock_guard<std::mutex> lock(remoteExecutorMutex);
-    return static_cast<bool>(remoteExecutorHook);
-}
 
 // ---------------------------------------------------------------------------
 // Typed operational errors + integrity checksums
@@ -260,9 +224,6 @@ canonicalExecKey(const ExperimentSpec &spec)
     appendField(key, "traj",
                 std::to_string(spec.backendSpec.trajectories));
     appendField(key, "seed", std::to_string(spec.backendSpec.seed));
-    // The service backend's delegate changes the histogram, so it
-    // must split the key (harmlessly constant for other backends).
-    appendField(key, "sb", spec.backendSpec.serviceBackend);
     return key;
 }
 
@@ -565,19 +526,6 @@ ExecutionService::workers() const
     return pool_->threadCount();
 }
 
-bool
-ExecutionService::insideWorker()
-{
-    return workerDepth > 0;
-}
-
-ExecutionService &
-ExecutionService::shared()
-{
-    static ExecutionService service;
-    return service;
-}
-
 ExecutionService::JobHandle
 ExecutionService::submit(ExperimentSpec spec, int priority,
                          double deadlineMs)
@@ -588,15 +536,6 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
     require(spec.workloadInstance.has_value() || !spec.workload.empty(),
             "ExecutionService: spec needs a workload (registry spec "
             "or prebuilt instance)");
-    if (spec.backend == "remote") {
-        require(hasRemoteExecutor(),
-                "ExecutionService: backend 'remote' needs a "
-                "RemoteExecutor installed (net::enableRemoteBackend)");
-        require(canonicalExecKey(spec).has_value(),
-                "ExecutionService: backend 'remote' cannot carry "
-                "prebuilt state (workload instance, noise model or "
-                "channel params) across the wire");
-    }
 
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -808,7 +747,6 @@ ExecutionService::submit(ExperimentSpec spec, int priority,
         [this, keyClass = retryKeyClass(spec),
          spec = std::move(spec), fullKey, execKey, promise,
          predicted, jobId = job->id] {
-            WorkerScope scope;
             // CPU time of this worker thread, not wall-clock: on an
             // oversubscribed machine concurrent workers time-slice
             // and every job's wall time inflates with the number of
@@ -926,11 +864,9 @@ ExecutionService::publish(const ExperimentSpec &spec,
         // value; a Poison fault corrupts only the stored copy
         // afterwards (the job's handles are then served the worker's
         // genuine Result), so the next hit's verification must catch
-        // it.  A degraded result (remote backend's local fallback) is
-        // never cached: the cache must only ever serve what the spec
-        // actually asked for.
+        // it.
         Checked<Execution> entry;
-        if (fullKey && resultCache_ && !result.degraded) {
+        if (fullKey && resultCache_) {
             auto copy = std::make_shared<Execution>(result);
             entry.checksum = resultChecksum(copy->result);
             if (fault(common::FaultSite::CacheInsert,
@@ -1035,22 +971,6 @@ ExecutionService::runJob(const ExperimentSpec &spec,
                 std::chrono::milliseconds(action.millis));
     };
     faultPoint(0);
-
-    if (spec.backend == "remote") {
-        // The transport owns the whole build/execute/mitigate/score
-        // chain on some shard; this worker only ferries the spec out
-        // and the Result back.  Job-level coalescing and the result
-        // LRU still wrap this path (canonical keys include the
-        // backend and its delegate), so repeat remote traffic is
-        // served locally without touching the wire.
-        const RemoteExecutor executor = remoteExecutorSnapshot();
-        require(executor != nullptr,
-                "ExecutionService: RemoteExecutor uninstalled while "
-                "a remote job was queued");
-        Result result = executor(spec);
-        faultPoint(1);
-        return result;
-    }
 
     RunState state;
     Result result = pipeline_.buildWorkload(spec, state);
@@ -1287,34 +1207,6 @@ ExecutionService::helpDrain()
     return pool_->tryRunOneJob();
 }
 
-std::future<core::Distribution>
-ExecutionService::submitSampling(
-    std::function<core::Distribution()> fn, int priority)
-{
-    require(fn != nullptr, "ExecutionService: null sampling task");
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (shutdown_) {
-            ++stats_.shutdownRejections;
-            throw ServiceShutdownError();
-        }
-        ++stats_.rawTasks;
-    }
-    if (insideWorker()) {
-        // A job is already executing on this thread: run inline
-        // instead of queueing behind ourselves (self-deadlock on a
-        // saturated pool).
-        std::promise<core::Distribution> ready;
-        try {
-            ready.set_value(fn());
-        } catch (...) {
-            ready.set_exception(std::current_exception());
-        }
-        return ready.get_future();
-    }
-    return pool_->submit(std::move(fn), priority);
-}
-
 void
 ExecutionService::shutdown()
 {
@@ -1384,7 +1276,6 @@ serviceStatsJson(const ServiceStats &stats, int workers)
     json.key("coalesced").value(stats.coalesced);
     json.key("execute_runs").value(stats.executeRuns);
     json.key("execute_shared").value(stats.executeShared);
-    json.key("raw_tasks").value(stats.rawTasks);
     json.key("result_cache");
     cache(json, stats.resultCache);
     json.key("exact_cache");
@@ -1758,48 +1649,6 @@ canonicalResultJson(const std::string &json)
     }
     out.endObject();
     return out.str();
-}
-
-// ---------------------------------------------------------------------------
-// ServiceSampler
-// ---------------------------------------------------------------------------
-
-ServiceSampler::ServiceSampler(const BackendSpec &spec)
-    : innerName_(spec.serviceBackend)
-{
-    require(!innerName_.empty(),
-            "service backend: serviceBackend must name the delegate "
-            "backend");
-    require(innerName_ != "service",
-            "service backend: serviceBackend must not be 'service' "
-            "(no self-recursion)");
-    inner_ = BackendRegistry::global().make(innerName_, spec);
-}
-
-core::Distribution
-ServiceSampler::sample(const circuits::RoutedCircuit &routed,
-                       int measured_qubits, int shots,
-                       common::Rng &rng)
-{
-    return inner_->sample(routed, measured_qubits, shots, rng);
-}
-
-core::Distribution
-ServiceSampler::sampleBatch(const circuits::RoutedCircuit &routed,
-                            int measured_qubits, int shots,
-                            common::Rng &rng, int threads)
-{
-    if (threads == 1 || ExecutionService::insideWorker())
-        return inner_->sampleBatch(routed, measured_qubits, shots,
-                                   rng, threads);
-    // Blocking on the future before returning keeps the reference
-    // captures safe and the RNG hand-off sequential.
-    return ExecutionService::shared()
-        .submitSampling([&] {
-            return inner_->sampleBatch(routed, measured_qubits,
-                                       shots, rng, threads);
-        })
-        .get();
 }
 
 } // namespace hammer::api

@@ -51,7 +51,6 @@
 #include "common/thread_pool.hpp"
 #include "core/distribution.hpp"
 #include "noise/exact_sampler.hpp"
-#include "noise/sampler.hpp"
 #include "resil/resil.hpp"
 
 namespace hammer::api {
@@ -107,8 +106,8 @@ class WorkerLostError final : public ServiceError
 };
 
 /**
- * submit()/submitSampling() called after shutdown(): the service is
- * draining or drained and accepts no new work.
+ * submit() called after shutdown(): the service is draining or
+ * drained and accepts no new work.
  */
 class ServiceShutdownError final : public ServiceError
 {
@@ -287,9 +286,6 @@ struct ServiceStats
 
     /** Sample stages served from a peer's execution outcome. */
     std::uint64_t executeShared = 0;
-
-    /** Raw sampler closures queued via submitSampling(). */
-    std::uint64_t rawTasks = 0;
 
     /** The bounded result LRU (hits = served without any pipeline work). */
     noise::CacheStats resultCache;
@@ -539,16 +535,6 @@ class ExecutionService
     std::vector<Result> runMany(const std::vector<ExperimentSpec> &specs);
 
     /**
-     * Queue a raw sampling closure behind the same job queue (the
-     * entry the `service` backend routes NoisySampler::sampleBatch
-     * calls through).  Runs inline when called from a service worker
-     * (no self-deadlock) or on a single-thread pool.
-     */
-    std::future<core::Distribution>
-    submitSampling(std::function<core::Distribution()> fn,
-                   int priority = 0);
-
-    /**
      * Run one queued job on the calling thread; false when the
      * queue is empty.  Lets a thread that is polling handles (the
      * --serve streaming loop) act as the pool's Nth worker instead
@@ -560,8 +546,8 @@ class ExecutionService
      * Stop accepting work and drain what was already accepted.
      *
      * Idempotent and callable from any thread: the first call flips
-     * the service into the draining state (submit/submitSampling
-     * throw ServiceShutdownError from then on, counted in
+     * the service into the draining state (submit throws
+     * ServiceShutdownError from then on, counted in
      * shutdownRejections), then every call — first or repeated —
      * helps run the remaining queued jobs and returns only once all
      * accepted jobs have completed.  Handles stay valid: wait() after
@@ -579,16 +565,6 @@ class ExecutionService
 
     /** Resolved worker count of the underlying pool. */
     int workers() const;
-
-    /** True on a thread currently executing a service job. */
-    static bool insideWorker();
-
-    /**
-     * Process-wide service over the global registries with default
-     * options, created on first use — the instance hammer_cli
-     * --serve and the `service` backend share.
-     */
-    static ExecutionService &shared();
 
   private:
     /** Everything the execute stage produced, shareable across jobs. */
@@ -801,31 +777,6 @@ struct SpecLine
 SpecLine parseSpecLine(const std::string &line);
 
 // ---------------------------------------------------------------------------
-// Remote execution (the `remote` backend's seam)
-// ---------------------------------------------------------------------------
-
-/**
- * Process-wide hook the `remote` backend dispatches through: given a
- * spec (backend == "remote", delegate named by
- * BackendSpec::serviceBackend), produce its Result — typically by
- * serializing the spec as a protocol line, sending it to a
- * net::ShardRouter fleet, and parsing the result line back.
- *
- * Lives here (not in net) so ExecutionService never depends on the
- * transport: net::enableRemoteBackend installs the implementation,
- * the same boundary-layering as the FaultInjector seam.  Thread-safe
- * to install/clear; jobs in flight keep the executor they started
- * with.
- */
-using RemoteExecutor = std::function<Result(const ExperimentSpec &)>;
-
-/** Install (or with nullptr clear) the process-wide RemoteExecutor. */
-void setRemoteExecutor(RemoteExecutor executor);
-
-/** True when a RemoteExecutor is installed. */
-bool hasRemoteExecutor();
-
-// ---------------------------------------------------------------------------
 // Result interchange (what crosses the shard wire)
 // ---------------------------------------------------------------------------
 
@@ -853,53 +804,6 @@ Result resultFromJson(const std::string &json);
  * transports.  No trailing newline.
  */
 std::string canonicalResultJson(const std::string &json);
-
-/**
- * The `service` backend: a NoisySampler whose batched executions are
- * queued behind ExecutionService::shared()'s job queue instead of
- * running on the caller.
- *
- * Delegates the actual physics to the backend named by
- * BackendSpec::serviceBackend (default "channel"), so its histograms
- * are bit-identical to that backend's — the registry conformance
- * harness holds by construction.  Circuit-level result caching is
- * deliberately NOT duplicated here: when the inner backend is
- * exact/exact-cached, the density-matrix memo in
- * noise::CachedExactSampler is the cache, and the service layer only
- * adds queueing and spec-level caching on top.
- */
-class ServiceSampler final : public noise::NoisySampler
-{
-  public:
-    /**
-     * @throws std::invalid_argument when spec.serviceBackend is
-     *         empty, "service" (no self-recursion), or unknown.
-     */
-    explicit ServiceSampler(const BackendSpec &spec);
-
-    /** Serial path: delegates inline (no queue round-trip). */
-    core::Distribution sample(const circuits::RoutedCircuit &routed,
-                              int measured_qubits, int shots,
-                              common::Rng &rng) override;
-
-    /**
-     * Queued path: the sampleBatch call runs as one job on the
-     * shared service's queue (inline when already on a service
-     * worker or when @p threads is 1).  Bit-identical to the inner
-     * backend for every thread count.
-     */
-    core::Distribution sampleBatch(const circuits::RoutedCircuit &routed,
-                                   int measured_qubits, int shots,
-                                   common::Rng &rng,
-                                   int threads = 0) override;
-
-    /** The delegate's registry name. */
-    const std::string &innerBackend() const { return innerName_; }
-
-  private:
-    std::string innerName_;
-    std::unique_ptr<noise::NoisySampler> inner_;
-};
 
 } // namespace hammer::api
 

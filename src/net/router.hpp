@@ -98,8 +98,7 @@ class RemoteJobError final : public RouterError
 /**
  * Every shard's circuit breaker refused the dispatch — a fleet-wide
  * outage as the breakers see it.  Thrown by wait() instead of
- * burning the full reconnect/attempt budget; the remote backend
- * catches exactly this to fall back to degraded local execution.
+ * burning the full reconnect/attempt budget.
  */
 class BreakerOpenError final : public RouterError
 {

@@ -304,8 +304,8 @@ estimateCost(const PlanFeatures &features, const PlanChoice &choice,
         return exactCost(features, table, false);
     if (choice.backend == "exact-cached")
         return exactCost(features, table, true);
-    // Unknown backends (remote, service wrappers) cost like the
-    // channel plan they typically delegate to.
+    // Channel and any custom registry backend cost like the channel
+    // plan.
     return channelCost(features, table);
 }
 

@@ -27,10 +27,10 @@ TEST(BackendRegistry, GlobalKnowsTheBuiltinBackends)
     EXPECT_TRUE(registry.contains("channel"));
     EXPECT_TRUE(registry.contains("exact"));
     EXPECT_TRUE(registry.contains("exact-cached"));
-    EXPECT_TRUE(registry.contains("service"));
     EXPECT_TRUE(registry.contains("auto"));
+    EXPECT_FALSE(registry.contains("service"));
     EXPECT_FALSE(registry.contains("remote"));
-    EXPECT_EQ(registry.names().size(), 6u);
+    EXPECT_EQ(registry.names().size(), 5u);
 }
 
 TEST(BackendRegistry, DuplicateRegistrationThrows)
@@ -135,50 +135,21 @@ TEST(BackendRegistry, CachedExactSampleBatchDeterministicAcrossThreads)
     }
 }
 
-TEST(BackendRegistry, ServiceBackendMatchesItsDelegateBitForBit)
-{
-    // The service backend only adds queueing: its histograms must be
-    // byte-for-byte the delegate backend's.
-    const auto workload = hammer::api::makeGhzWorkload(4);
-    BackendSpec spec;
-    spec.serviceBackend = "channel";
-    for (int threads : {1, 2}) {
-        Rng direct_rng(5), served_rng(5);
-        const auto direct =
-            BackendRegistry::global().make("channel", spec);
-        const auto served =
-            BackendRegistry::global().make("service", spec);
-        const auto a = direct->sampleBatch(workload.routed, 4, 2000,
-                                           direct_rng, threads);
-        const auto b = served->sampleBatch(workload.routed, 4, 2000,
-                                           served_rng, threads);
-        ASSERT_EQ(a.support(), b.support()) << threads << " threads";
-        for (const auto &e : a.entries())
-            EXPECT_DOUBLE_EQ(e.probability, b.probability(e.outcome))
-                << threads << " threads";
-    }
-}
-
-TEST(BackendRegistry, ServiceBackendRejectsSelfRecursion)
-{
-    BackendSpec spec;
-    spec.serviceBackend = "service";
-    EXPECT_THROW(BackendRegistry::global().make("service", spec),
-                 std::invalid_argument);
-    spec.serviceBackend = "";
-    EXPECT_THROW(BackendRegistry::global().make("service", spec),
-                 std::invalid_argument);
-}
-
 TEST(BackendRegistry, UnknownBackendThrowsWithTheKnownList)
 {
-    try {
-        BackendRegistry::global().make("warpdrive", {});
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument &error) {
-        const std::string message = error.what();
-        EXPECT_NE(message.find("warpdrive"), std::string::npos);
-        EXPECT_NE(message.find("channel"), std::string::npos);
+    // A stale spec line naming a retired backend ("service",
+    // "remote") gets the same typed error as any unknown name.
+    for (const std::string name : {"warpdrive", "service", "remote"}) {
+        try {
+            BackendRegistry::global().make(name, {});
+            FAIL() << "expected std::invalid_argument for " << name;
+        } catch (const std::invalid_argument &error) {
+            const std::string message = error.what();
+            EXPECT_NE(message.find("'" + name + "'"), std::string::npos)
+                << message;
+            EXPECT_NE(message.find("channel"), std::string::npos)
+                << message;
+        }
     }
 }
 

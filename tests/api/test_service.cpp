@@ -373,14 +373,6 @@ TEST(ExecutionService, CanonicalKeysSeparateEveryAxis)
     other = smallBvSpec(1);
     other.mitigation = "none";
     EXPECT_NE(base, *canonicalSpecKey(other));
-    // The service backend's delegate determines the histogram: two
-    // service specs differing only there must never share a key.
-    other = smallBvSpec(1);
-    other.backend = "service";
-    auto service_traj = other;
-    service_traj.backendSpec.serviceBackend = "trajectory";
-    EXPECT_NE(*canonicalSpecKey(other),
-              *canonicalSpecKey(service_traj));
 
     // Threads and labels do not change results, so they must not
     // change the key either.
@@ -432,8 +424,8 @@ TEST(ExecutionService, ValidatesAtSubmitAndSurfacesJobErrorsAtWait)
     auto bad_shots = smallBvSpec(1);
     bad_shots.backendSpec.shots = 0;
     EXPECT_THROW(service.submit(bad_shots), std::invalid_argument);
-    EXPECT_THROW(service.submit(ExperimentSpec{}),
-                 std::invalid_argument);
+    const ExperimentSpec no_workload;
+    EXPECT_THROW(service.submit(no_workload), std::invalid_argument);
 
     // Registry errors surface when the job runs, i.e. at wait().
     auto bad_backend = smallBvSpec(1);

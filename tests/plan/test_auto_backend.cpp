@@ -74,7 +74,7 @@ TEST(AutoBackend, RegisteredAlongsideTheHandPickedBackends)
 {
     const BackendRegistry &registry = BackendRegistry::global();
     EXPECT_TRUE(registry.contains("auto"));
-    EXPECT_EQ(registry.names().size(), 6u);
+    EXPECT_EQ(registry.names().size(), 5u);
 }
 
 TEST(AutoBackend, BitIdenticalToTheSelectedBackend)

@@ -40,8 +40,8 @@
  *                      ghz:<n> | qaoa:[<family>:]<n>:<p> |
  *                      mirror:<n>[:<depth>]
  *   --machine <name>   noise preset (default machineA)
- *   --backend <b>      trajectory | channel | exact
- *                      (default trajectory)
+ *   --backend <b>      trajectory | channel | exact | exact-cached |
+ *                      auto (default trajectory)
  *   --shots <k>        shot budget (default 8192)
  *   --trajectories <t> noise trajectories (default 250)
  *   --threads <N>      worker threads; results are bit-identical for
