@@ -1,16 +1,18 @@
 /**
  * @file
  * Simulation-engine microbenchmark: SIMD kernel tiers, specialised
- * kernels, the fusion pass, checkpointed trajectory replay, and
- * batched (multi-lane SoA) trajectory replay, against replicas of the
- * pre-overhaul engine (branchy generic kernels, circuit-per-
- * trajectory re-simulation, binary-search sampling).
+ * kernels, the channel backend's shot lanes per tier, the fusion
+ * pass, checkpointed trajectory replay, and batched (multi-lane SoA)
+ * trajectory replay, against replicas of the pre-overhaul engine
+ * (branchy generic kernels, circuit-per-trajectory re-simulation,
+ * binary-search sampling) and the scalar shot loop.
  *
- * All speedup gates are ops-reduction or serial-wall-clock based —
- * nothing here depends on thread scaling, so the checks are safe on
- * a single-core CI runner.  Wall-clock perf gates are disabled under
- * sanitizers (their instrumentation skews kernels unevenly) and when
- * only the scalar tier is available; bit-identity checks always run.
+ * All speedup gates are ops-reduction, serial-wall-clock or
+ * thread-CPU-time based — nothing here depends on thread scaling, so
+ * the checks are safe on a single-core CI runner.  Timed perf gates
+ * are disabled under sanitizers (their instrumentation skews kernels
+ * unevenly) and when only the scalar tier is available; bit-identity
+ * checks always run.
  * Emits BENCH_sim.json in smoke mode so CI tracks the engine's perf
  * trajectory push over push, including per-kernel effective GB/s per
  * ISA tier.
@@ -29,8 +31,11 @@
 #include "api/api.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
+#include "noise/channel_sampler.hpp"
 #include "noise/readout.hpp"
 #include "noise/replay.hpp"
+#include "noise/shot_lanes.hpp"
 #include "noise/trajectory_sampler.hpp"
 #include "sim/compiled.hpp"
 #include "sim/kernels.hpp"
@@ -139,6 +144,97 @@ timeKernel(const char *name, int n, int reps, Rng &rng,
     return {name,
             t_generic > 0.0 ? reps / t_generic : 0.0,
             t_specialised > 0.0 ? reps / t_specialised : 0.0};
+}
+
+/**
+ * Channel shots per tier: ChannelSampler::sampleBatch on one fixed
+ * 14-qubit spec (qaoa:3reg:14:1 on machineA, 64 chunks of 1024 shots,
+ * one thread) through the scalar shot loop and through every tier's
+ * lane kernels, interleaved, each pass timed in thread CPU time and
+ * each side keeping its best pass.  A histogram differing from the
+ * scalar loop's is an error; outside sanitizer builds the avx512
+ * lanes must run at least 2x the scalar loop.  Emits
+ * channel_shots_per_s_<tier> (the one ideal simulation per call
+ * included).  Returns false on a failed check or gate.
+ */
+bool
+benchChannelShots(bench::BenchReport &report, bool smoke)
+{
+    constexpr double kAvx512OverScalarFloor = 2.0;
+    constexpr int kShots = 64 * noise::kChunkShots;
+    const int passes = smoke ? 5 : 15;
+    Rng build_rng(14);
+    const api::Workload w = api::WorkloadRegistry::global().make(
+        "qaoa:3reg:14:1", build_rng);
+    noise::ChannelSampler sampler(noise::machinePreset("machineA"));
+
+    std::vector<const noise::ShotLanes *> sides = {
+        &noise::kScalarShotLanes};
+    for (const common::KernelTier tier : common::supportedTiers()) {
+        const noise::ShotLanes *lanes = noise::shotLanesForTier(tier);
+        if (lanes->run != nullptr && lanes->tier == tier)
+            sides.push_back(lanes);
+    }
+    std::vector<double> best(sides.size(), -1.0);
+    std::vector<core::Distribution> histograms;
+    for (int pass = 0; pass < passes; ++pass) {
+        for (std::size_t k = 0; k < sides.size(); ++k) {
+            noise::setActiveShotLanes(sides[k]);
+            Rng rng(0xC4A7);
+            const double start = common::threadCpuSeconds();
+            core::Distribution d = sampler.sampleBatch(
+                w.routed, w.measuredQubits, kShots, rng, 1);
+            const double secs = common::threadCpuSeconds() - start;
+            if (best[k] < 0.0 || secs < best[k])
+                best[k] = secs;
+            if (pass == 0)
+                histograms.push_back(std::move(d));
+        }
+    }
+    noise::setActiveShotLanes(nullptr);
+
+    const auto same = [](const core::Distribution &a,
+                         const core::Distribution &b) {
+        return std::equal(a.entries().begin(), a.entries().end(),
+                          b.entries().begin(), b.entries().end(),
+                          [](const core::Entry &x, const core::Entry &y) {
+                              return x.outcome == y.outcome &&
+                                     x.probability == y.probability;
+                          });
+    };
+    bool ok = true;
+    common::Table table({"tier", "ms", "Mshots_s", "x_scalar"});
+    for (std::size_t k = 0; k < sides.size(); ++k) {
+        const char *tier = common::tierName(sides[k]->tier);
+        if (!same(histograms[k], histograms[0])) {
+            std::printf("ERROR: the %s shot lanes' histogram differs "
+                        "from the scalar loop's\n",
+                        tier);
+            ok = false;
+        }
+        const double x = best[0] / best[k];
+        const double shots_per_s = kShots / best[k];
+        table.addRow({tier, common::Table::fmt(best[k] * 1e3, 3),
+                      common::Table::fmt(shots_per_s / 1e6, 2),
+                      common::Table::fmt(x, 2)});
+        report.metric(std::string("channel_shots_per_s_") + tier,
+                      shots_per_s);
+        report.metric(std::string("channel_x_scalar_") + tier, x);
+        if (sides[k]->tier == common::KernelTier::Avx512 &&
+            !HAMMER_BENCH_SANITIZED && x < kAvx512OverScalarFloor) {
+            std::printf("ERROR: the avx512 shot lanes run only %.2fx the "
+                        "scalar loop (floor %.1fx)\n",
+                        x, kAvx512OverScalarFloor);
+            ok = false;
+        }
+    }
+    std::printf("\nChannel shots per tier (%s, %d shots, %d bits "
+                "measured, 1 thread):\n",
+                w.spec.c_str(), kShots, w.measuredQubits);
+    table.print(std::cout);
+    if (HAMMER_BENCH_SANITIZED)
+        std::puts("note: sanitizer build — channel-shot floor disabled");
+    return ok;
 }
 
 } // namespace
@@ -368,6 +464,8 @@ main()
     }
     tier_table.print(std::cout);
     if (tier_gate_failed)
+        return 1;
+    if (!benchChannelShots(report, smoke))
         return 1;
 
     // -- 3. Fusion on the paper's circuit families.

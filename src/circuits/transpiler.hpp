@@ -60,6 +60,12 @@ class OutcomeRelabel
         return logical;
     }
 
+    /** Physical bytes relabelled (entries per outcome). */
+    std::size_t bytes() const { return bytes_; }
+
+    /** The bytes() x 256 entries, byte-major. */
+    const common::Bits *table() const { return table_.data(); }
+
   private:
     std::size_t bytes_;
     std::vector<common::Bits> table_; ///< bytes_ x 256, byte-major.

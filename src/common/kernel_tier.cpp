@@ -141,8 +141,8 @@ tierCompiled(KernelTier tier)
         return false;
 #endif
     case KernelTier::Avx512:
-        // Only HAMMER's kernels have an AVX-512 file; it is compiled
-        // when the compiler takes its flags.
+        // HAMMER's kernels and the channel shot lanes have AVX-512
+        // files; they are compiled when the compiler takes the flags.
 #if defined(HAMMER_HAVE_AVX512)
         return true;
 #else

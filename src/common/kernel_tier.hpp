@@ -3,8 +3,9 @@
  * ISA kernel tiers and the host probe that picks one.
  *
  * Every module with per-ISA kernel files (the statevector engine in
- * sim, the HAMMER pair scans in core) dispatches on the same tier, so
- * the probe lives here, below both.  The host CPU is probed once;
+ * sim, the HAMMER pair scans in core, the channel shot lanes in
+ * noise) dispatches on the same tier, so the probe lives here, below
+ * them all.  The host CPU is probed once;
  * HAMMER_KERNELS=scalar|sse2|avx2|avx512|neon overrides the probe for
  * the forced-tier parity suites and the benches.  Forcing a tier the
  * host cannot run is a hard error, so a misconfigured CI leg fails
@@ -15,7 +16,9 @@
  * kernels of lowerTier(tier), the next lower tier of its ISA family,
  * and so on down to scalar.  Today sim has scalar/sse2/avx2/neon
  * tables (avx512 runs AVX2's), core has scalar/avx2/avx512 HAMMER
- * kernels (sse2 and neon run the scalar ones).
+ * kernels (sse2 and neon run the scalar ones), and noise has avx2 and
+ * avx512 channel shot lanes (scalar, sse2 and neon run the scalar
+ * shot loop).
  */
 
 #ifndef HAMMER_COMMON_KERNEL_TIER_HPP

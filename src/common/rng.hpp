@@ -118,6 +118,12 @@ class Rng
      */
     void jump();
 
+    /**
+     * The four xoshiro256** state words, for vector kernels that step
+     * copies of several streams side by side.
+     */
+    const std::uint64_t *state() const { return s_; }
+
   private:
     static constexpr std::uint64_t rotl(std::uint64_t x, int k)
     {

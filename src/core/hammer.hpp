@@ -123,8 +123,12 @@ Distribution reconstructIterative(const Distribution &input,
 /**
  * Scalability-optimised reconstruction (Section 6.6 extension).
  *
- * Produces results identical to reconstruct() but prunes the O(N^2)
- * pair scans with a popcount bucketing: Hamming distance is bounded
+ * Computes the same reconstruction as reconstruct() but prunes the
+ * O(N^2) pair scans with a popcount bucketing, which also changes the
+ * order in which each outcome's terms are summed, so its
+ * probabilities may differ from reconstruct()'s in the last bits (up
+ * to about 2.4e-14 relative, measured on channel histograms): the two
+ * are not bit-identical.  Hamming distance is bounded
  * below by the difference in set-bit counts, so an outcome with k
  * set bits only ever interacts with outcomes whose popcount lies in
  * [k - d_max, k + d_max].  For the paper's default d_max = n/2 - 1

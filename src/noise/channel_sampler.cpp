@@ -9,6 +9,7 @@
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 #include "noise/readout.hpp"
+#include "noise/shot_lanes.hpp"
 #include "sim/simulator.hpp"
 
 namespace hammer::noise {
@@ -219,23 +220,6 @@ namespace {
  */
 constexpr int kDenseCountBits = 16;
 
-/** Per-circuit channel quantities shared by every shot. */
-struct ShotPlan
-{
-    int measuredQubits;
-    Bits mask;
-    double scramble;
-    std::vector<CorrelatedFlip> correlated;
-    /**
-     * Per-bit flip probability when the bit reads 0 / 1 before its
-     * own flip: the independent gate flip combined with the readout
-     * error of that value.
-     */
-    std::vector<double> flip0;
-    std::vector<double> flip1;
-    circuits::OutcomeRelabel relabel;
-};
-
 /** Push one ideal logical outcome through the noise channels. */
 Bits
 applyShotNoise(const ShotPlan &plan, const ChannelParams &params,
@@ -408,8 +392,10 @@ ChannelSampler::sampleBatch(const circuits::RoutedCircuit &routed,
     // produces the same work items and (via fork) the same
     // histogram.  Small enough that a default 8192-shot call still
     // spreads across 8 workers.
-    constexpr int kChunkShots = 1024;
     const int chunks = (shots + kChunkShots - 1) / kChunkShots;
+    const auto quotaOf = [&](int c) {
+        return std::min(kChunkShots, shots - c * kChunkShots);
+    };
 
     const Rng master = rng.split();
 
@@ -417,15 +403,45 @@ ChannelSampler::sampleBatch(const circuits::RoutedCircuit &routed,
     // shared pool when possible (no per-call thread spawning).
     const int workers = common::ThreadPool::resolveThreadCount(
         threads, static_cast<std::size_t>(chunks));
+    // On tiers with shot lanes, groups of consecutive chunks run side
+    // by side, one chunk per vector lane; elsewhere (and for circuits
+    // too wide for the lanes' 32-bit outcomes) each chunk runs the
+    // scalar loop alone.  A group is as wide as the lanes, or
+    // narrower when that leaves a worker idle.  The grouping never
+    // changes a bit: every chunk keeps its own stream, and the counts
+    // are integer adds.
+    const ShotLanes &lanes =
+        n <= kMaxLaneQubits ? activeShotLanes() : kScalarShotLanes;
+    const ShotLanePlan lane_plan =
+        lanes.run != nullptr ? makeShotLanePlan(plan, params_, cdf)
+                             : ShotLanePlan{};
+    const int per_group =
+        std::min(lanes.width, (chunks + workers - 1) / workers);
+    const int groups = (chunks + per_group - 1) / per_group;
     return countShots(measured_qubits, shots, workers, [&](auto &&record) {
         common::ThreadPool::run(
-            workers, static_cast<std::size_t>(chunks),
-            [&](std::size_t c, int slot) {
-                const int base = static_cast<int>(c) * kChunkShots;
-                const int quota = std::min(kChunkShots, shots - base);
-                Rng stream = master.fork(c);
-                runShots(plan, params_, cdf, quota, stream,
-                         [&](Bits x) { record(slot, x); });
+            workers, static_cast<std::size_t>(groups),
+            [&](std::size_t g, int slot) {
+                const int first = static_cast<int>(g) * per_group;
+                const int count = std::min(per_group, chunks - first);
+                Rng streams[kMaxShotLanes];
+                int quotas[kMaxShotLanes];
+                for (int l = 0; l < count; ++l) {
+                    streams[l] = master.fork(
+                        static_cast<std::uint64_t>(first + l));
+                    quotas[l] = quotaOf(first + l);
+                }
+                if (lanes.run == nullptr) {
+                    runShots(plan, params_, cdf, quotas[0], streams[0],
+                             [&](Bits x) { record(slot, x); });
+                    return;
+                }
+                std::uint32_t out[kChunkShots * kMaxShotLanes];
+                lanes.run(lane_plan, streams, quotas, count, out);
+                for (int l = 0; l < count; ++l) {
+                    for (int s = 0; s < quotas[l]; ++s)
+                        record(slot, Bits{out[s * lanes.width + l]});
+                }
             });
     });
 }

@@ -32,7 +32,11 @@
  * physical-to-logical relabel becomes a byte-sliced
  * circuits::OutcomeRelabel.  Shots then cost one CDF lookup plus the
  * channel's Bernoulli draws, in the same order as always, and are
- * counted in dense 2^m arrays when m <= 16.
+ * counted in dense 2^m arrays when m <= 16.  sampleBatch runs its
+ * 1024-shot chunks side by side in SIMD lanes on the avx2 and avx512
+ * tiers (shot_lanes.hpp), each lane replaying its chunk's draws
+ * exactly; sample() and the other tiers run the scalar shot loop.
+ * Both give the same histogram, bit for bit.
  */
 
 #ifndef HAMMER_NOISE_CHANNEL_SAMPLER_HPP
@@ -126,8 +130,9 @@ class ChannelSampler : public NoisySampler
      * computed once, then the shot budget is split into fixed-size
      * chunks (the chunking depends only on the shot count, never on
      * the thread count), each chunk drawing from the shared CDF on
-     * its own forked RNG stream.  Results are bit-identical for every
-     * thread count.
+     * its own forked RNG stream.  On tiers with shot lanes, groups of
+     * up to 8 chunks run side by side, one stream per vector lane.
+     * Results are bit-identical for every thread count and tier.
      */
     core::Distribution sampleBatch(const circuits::RoutedCircuit &routed,
                                    int measured_qubits, int shots,

@@ -183,6 +183,9 @@ class OutcomeCdf
     /** Sum of all outcome probabilities (the state's normSquared). */
     double total() const { return cdf_.back(); }
 
+    /** The dimension() running sums, ascending. */
+    const double *data() const { return cdf_.data(); }
+
     /**
      * The outcome draw @p r resolves to: the first index whose CDF
      * entry exceeds it, or the last basis state when none does.
